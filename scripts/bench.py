@@ -22,7 +22,7 @@ diff the hashes across thread counts.
 
 Modes:
   full (default)   all benches; writes BENCH_perf.json at the repo root
-  --smoke          CI gate: hot-path microbenches + two fast scenarios,
+  --smoke          CI gate: hot-path microbenches + three fast scenarios,
                    asserts everything runs and emits valid JSON; writes
                    into the build directory only
 
@@ -61,7 +61,11 @@ SCENARIOS = [
     "bench_ext_gpu",
     "bench_ext_chaos",
 ]
-SMOKE_SCENARIOS = ["bench_tab1_configurations", "bench_fig6_index_cost"]
+# bench_fig10_transport runs synthetic writers into readers under the
+# staging libraries' materialize cap, so the smoke hash diff across thread
+# counts covers the lazy one-definition reader assembly (nda::assemble).
+SMOKE_SCENARIOS = ["bench_tab1_configurations", "bench_fig6_index_cost",
+                   "bench_fig10_transport"]
 
 # Full-mode sweep widths: every scenario re-runs at each width and the
 # speedup over the sequential pass lands in derived.sweep_scaling. The

@@ -325,12 +325,7 @@ sim::Task<Result<nda::Slab>> Io::read(const nda::VarDesc& var,
                                  " of " + std::to_string(box.volume()) +
                                  " elements");
       }
-      if (box.volume() <= (1ull << 22)) {
-        nda::Slab out = nda::Slab::zeros(box);
-        for (const auto* slab : hits) out.fill_from(*slab);
-        co_return out;
-      }
-      co_return nda::Slab::synthetic(box, hits.front()->seed());
+      co_return nda::assemble(box, hits, kMpiIoReadCapElems);
     }
     case Method::kDataspaces: {
       if (Status st = co_await backends_.dataspaces->wait_version(

@@ -36,6 +36,10 @@ namespace imc::adios {
 
 enum class Method { kMpiIo, kDataspaces, kDimes, kFlexpath };
 
+// Largest mixed or materialized read the MPI-IO path assembles (the value
+// the staging libraries' Config::materialize_cap_elems defaults to).
+inline constexpr std::uint64_t kMpiIoReadCapElems = 1ull << 22;
+
 Result<Method> parse_method(const std::string& name);
 std::string_view to_string(Method method);
 

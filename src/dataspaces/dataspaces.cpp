@@ -918,14 +918,7 @@ sim::Task<Result<nda::Slab>> DataSpaces::Client::get(const nda::VarDesc& var,
                              " of " + std::to_string(box.volume()) +
                              " elements of " + box.to_string());
   }
-  if (box.volume() <= ds_->config_.materialize_cap_elems) {
-    nda::Slab out = nda::Slab::zeros(box);
-    for (const auto& p : pieces) out.fill_from(p);
-    co_return out;
-  }
-  // Paper-scale request: keep it synthetic (all pieces share the source
-  // definition by construction).
-  co_return nda::Slab::synthetic(box, pieces.front().seed());
+  co_return nda::assemble(box, pieces, ds_->config_.materialize_cap_elems);
 }
 
 sim::Task<Status> DataSpaces::Client::publish(const nda::VarDesc& var) {

@@ -64,8 +64,8 @@ struct Config {
   // memory on top of the application state; servers carry a DART base pool).
   std::uint64_t client_base_bytes = 200 * kMiB;
   std::uint64_t server_base_bytes = 64 * kMiB;
-  // Slabs larger than this stay synthetic on assembly (content still
-  // verifiable; see ndarray/ndarray.h).
+  // Assemblies of mixed or materialized content larger than this stay
+  // synthetic (content still verifiable; see nda::assemble).
   std::uint64_t materialize_cap_elems = 1ull << 22;
 };
 

@@ -333,12 +333,7 @@ sim::Task<Result<nda::Slab>> Dataflow::get(int consumer_index,
                              " of " + std::to_string(box.volume()) +
                              " elements of " + box.to_string());
   }
-  if (box.volume() <= config_.materialize_cap_elems) {
-    nda::Slab out = nda::Slab::zeros(box);
-    for (const auto& p : pieces) out.fill_from(p);
-    co_return out;
-  }
-  co_return nda::Slab::synthetic(box, pieces.front().seed());
+  co_return nda::assemble(box, pieces, config_.materialize_cap_elems);
 }
 
 }  // namespace imc::decaf

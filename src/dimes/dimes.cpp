@@ -741,12 +741,7 @@ sim::Task<Result<nda::Slab>> Dimes::Client::get(const nda::VarDesc& var,
                              " of " + std::to_string(box.volume()) +
                              " elements");
   }
-  if (box.volume() <= dimes_->config_.materialize_cap_elems) {
-    nda::Slab out = nda::Slab::zeros(box);
-    for (const auto& p : pieces) out.fill_from(p);
-    co_return out;
-  }
-  co_return nda::Slab::synthetic(box, pieces.front().seed());
+  co_return nda::assemble(box, pieces, dimes_->config_.materialize_cap_elems);
 }
 
 sim::Task<Status> Dimes::Client::publish(const nda::VarDesc& var) {

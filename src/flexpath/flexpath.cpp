@@ -217,12 +217,7 @@ sim::Task<Result<nda::Slab>> Flexpath::Reader::read_step(
                              " of " + std::to_string(box.volume()) +
                              " elements of " + box.to_string());
   }
-  if (box.volume() <= fp_->config_.materialize_cap_elems) {
-    nda::Slab out = nda::Slab::zeros(box);
-    for (const auto& p : pieces) out.fill_from(p);
-    co_return out;
-  }
-  co_return nda::Slab::synthetic(box, pieces.front().seed());
+  co_return nda::assemble(box, pieces, fp_->config_.materialize_cap_elems);
 }
 
 sim::Task<Status> Flexpath::Reader::release_step(int step) {

@@ -319,4 +319,28 @@ double Slab::checksum() const {
   return sum;
 }
 
+Slab assemble(const Box& box, const std::vector<const Slab*>& pieces,
+              std::uint64_t cap) {
+  const bool one_definition =
+      !pieces.empty() &&
+      std::all_of(pieces.begin(), pieces.end(), [&](const Slab* p) {
+        return !p->is_materialized() && p->seed() == pieces.front()->seed();
+      });
+  if (one_definition || box.volume() > cap) {
+    assert(!pieces.empty());
+    return Slab::synthetic(box, pieces.front()->seed());
+  }
+  Slab out = Slab::zeros(box);
+  for (const Slab* p : pieces) out.fill_from(*p);
+  return out;
+}
+
+Slab assemble(const Box& box, const std::vector<Slab>& pieces,
+              std::uint64_t cap) {
+  std::vector<const Slab*> refs;
+  refs.reserve(pieces.size());
+  for (const Slab& p : pieces) refs.push_back(&p);
+  return assemble(box, refs, cap);
+}
+
 }  // namespace imc::nda

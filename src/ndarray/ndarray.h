@@ -13,6 +13,12 @@
 // defined by a pure function of (seed, global coordinate). Extraction and
 // assembly preserve the definition, so correctness checks (sampled equality,
 // checksums) work identically in both modes.
+//
+// Content rules. Writers build materialized content by whole rows, never
+// element by element. A reader's slab is built only by assemble(): pieces
+// that all carry one synthetic definition assemble to a synthetic slab at
+// any size (its at() returns the bits a materialized copy would hold), so
+// the materialize caps bound only mixed or materialized content.
 #pragma once
 
 #include <cstdint>
@@ -141,5 +147,15 @@ class Slab {
   std::uint64_t seed_ = 0;
   std::vector<double> data_;
 };
+
+// A reader's slab over `box` from the pieces a staging library gathered;
+// callers check first that the pieces cover `box`. Pieces sharing one
+// synthetic definition give a synthetic slab at any size. Otherwise the
+// pieces are copied into a zero-filled slab of up to `cap` elements; a
+// larger box stays synthetic under the first piece's seed.
+Slab assemble(const Box& box, const std::vector<const Slab*>& pieces,
+              std::uint64_t cap);
+Slab assemble(const Box& box, const std::vector<Slab>& pieces,
+              std::uint64_t cap);
 
 }  // namespace imc::nda

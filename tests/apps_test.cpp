@@ -139,6 +139,28 @@ TEST(LammpsSim, SmallOutputMaterializedFromKernel) {
   EXPECT_DOUBLE_EQ(slab.at({0, 0, 0}), sim.kernel().positions()[0]);
 }
 
+TEST(LammpsSim, OutputTilesKernelAtomsElementForElement) {
+  // Rank > 0, and 1000 atoms is not a multiple of the 108-atom kernel.
+  LammpsSim sim(LammpsSim::Params{
+      .rank = 3, .nprocs = 5, .atoms_per_proc = 1000, .kernel_atoms = 108});
+  sim.advance();
+  const nda::Slab slab = sim.output(0);
+  ASSERT_TRUE(slab.is_materialized());
+  ASSERT_EQ(slab.box(), sim.my_box());
+  const auto& pos = sim.kernel().positions();
+  const auto& vel = sim.kernel().velocities();
+  const auto n = static_cast<std::uint64_t>(sim.kernel().natoms());
+  for (std::uint64_t atom = 0; atom < 1000; ++atom) {
+    const std::size_t k = 3 * (atom % n);
+    const double want[5] = {pos[k], pos[k + 1], pos[k + 2], vel[k],
+                            vel[k + 1]};
+    for (std::uint64_t property = 0; property < 5; ++property) {
+      ASSERT_EQ(slab.at({property, 3, atom}), want[property])
+          << "property " << property << " atom " << atom;
+    }
+  }
+}
+
 TEST(LammpsSim, LargeOutputIsSynthetic) {
   LammpsSim sim(LammpsSim::Params{.rank = 0, .nprocs = 2});
   EXPECT_FALSE(sim.output(0).is_materialized());
@@ -150,6 +172,27 @@ TEST(LaplaceSim, PaperGeometry) {
   EXPECT_EQ(sim.my_box(), nda::Box({0, 4096}, {4096, 8192}));
   // 128 MB per rank.
   EXPECT_EQ(sim.my_box().volume() * 8, 4096ull * 4096 * 8);
+}
+
+TEST(LaplaceSim, OutputTilesKernelGridElementForElement) {
+  // Rank 2 of 13 columns starts at column 26: neither the offset, the
+  // width nor the 21 rows are multiples of the 8-point kernel grid.
+  LaplaceSim sim(LaplaceSim::Params{.rank = 2,
+                                    .nprocs = 4,
+                                    .rows = 21,
+                                    .cols_per_proc = 13,
+                                    .kernel_n = 8});
+  sim.advance();
+  const nda::Slab slab = sim.output(0);
+  ASSERT_TRUE(slab.is_materialized());
+  ASSERT_EQ(slab.box(), nda::Box({0, 26}, {21, 39}));
+  for (std::uint64_t i = 0; i < 21; ++i) {
+    for (std::uint64_t j = 26; j < 39; ++j) {
+      ASSERT_EQ(slab.at({i, j}), sim.kernel().at(static_cast<int>(i % 8),
+                                                 static_cast<int>(j % 8)))
+          << "at (" << i << ", " << j << ")";
+    }
+  }
 }
 
 TEST(LaplaceSim, ComputeScalesWithProblemSize) {

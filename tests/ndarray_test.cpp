@@ -331,5 +331,113 @@ TEST(Slab, ChecksumMatchesDefinitionForBothKinds) {
   EXPECT_DOUBLE_EQ(mat.checksum(), expected);
 }
 
+// The reader assembly every staging library performed before
+// nda::assemble: a zero-filled slab with each piece copied in.
+Slab zero_fill_assembly(const Box& box, const std::vector<Slab>& pieces) {
+  Slab out = Slab::zeros(box);
+  for (const auto& p : pieces) out.fill_from(p);
+  return out;
+}
+
+// Calls fn on every coordinate of a non-empty box, row-major.
+template <class Fn>
+void for_each_coord(const Box& box, Fn fn) {
+  Dims coord = box.lb;
+  for (;;) {
+    fn(coord);
+    std::size_t d = coord.size();
+    while (d-- > 0) {
+      if (++coord[d] < box.ub[d]) break;
+      coord[d] = box.lb[d];
+    }
+    if (d == static_cast<std::size_t>(-1)) return;
+  }
+}
+
+void expect_same_content(const Slab& got, const Slab& want) {
+  ASSERT_EQ(got.box(), want.box());
+  EXPECT_EQ(got.checksum(), want.checksum());
+  for_each_coord(want.box(), [&](const Dims& c) {
+    ASSERT_EQ(got.at(c), want.at(c)) << ::testing::PrintToString(c);
+  });
+}
+
+TEST(Assemble, OneSyntheticDefinitionStaysSynthetic) {
+  // Writers split dimension 0, readers dimension 1: every reader box is
+  // stitched from several extracts of one synthetic source.
+  const Dims global = {12, 18};
+  const Slab source = Slab::synthetic(Box::whole(global), 77);
+  std::vector<Slab> staged;
+  for (const auto& wb : decompose_1d(global, 4, 0)) {
+    staged.push_back(source.extract(wb));
+  }
+  for (const auto& rb : decompose_1d(global, 3, 1)) {
+    std::vector<Slab> pieces;
+    for (const auto& st : staged) {
+      if (auto overlap = intersect(st.box(), rb)) {
+        pieces.push_back(st.extract(*overlap));
+      }
+    }
+    const Slab got = assemble(rb, pieces, /*cap=*/1u << 20);
+    EXPECT_FALSE(got.is_materialized());
+    EXPECT_EQ(got.seed(), 77u);
+    expect_same_content(got, zero_fill_assembly(rb, pieces));
+  }
+}
+
+TEST(Assemble, PointerPiecesMayOverhangTheBox) {
+  // The ADIOS MPI-IO read hands whole stored slabs, not overlaps.
+  const Box box({2, 3}, {7, 11});
+  const Slab left = Slab::synthetic(Box({0, 0}, {9, 6}), 5);
+  const Slab right = Slab::synthetic(Box({0, 6}, {9, 20}), 5);
+  const std::vector<const Slab*> hits = {&left, &right};
+  const Slab got = assemble(box, hits, /*cap=*/1u << 20);
+  EXPECT_FALSE(got.is_materialized());
+  expect_same_content(got, zero_fill_assembly(box, {left, right}));
+}
+
+TEST(Assemble, MaterializesWhenAnyPieceIsMaterialized) {
+  const Box box({0, 0}, {6, 10});
+  const Slab source = Slab::synthetic(box, 9);
+  Slab written = Slab::zeros(Box({0, 4}, {6, 7}));
+  written.fill_from(source);
+  const std::vector<Slab> pieces = {
+      source.extract(Box({0, 0}, {6, 4})),
+      written,
+      // What a DataSpaces server hands back for a put aborted mid-flight.
+      Slab::zeros(Box({0, 7}, {6, 10})),
+  };
+  const Slab got = assemble(box, pieces, /*cap=*/1u << 20);
+  EXPECT_TRUE(got.is_materialized());
+  expect_same_content(got, zero_fill_assembly(box, pieces));
+  EXPECT_EQ(got.at({3, 8}), 0.0);
+}
+
+TEST(Assemble, MaterializesWhenSeedsDiffer) {
+  const Box box({0, 0}, {4, 8});
+  const std::vector<Slab> pieces = {
+      Slab::synthetic(Box({0, 0}, {4, 5}), 1),
+      Slab::synthetic(Box({0, 5}, {4, 8}), 2),
+  };
+  const Slab got = assemble(box, pieces, /*cap=*/1u << 20);
+  EXPECT_TRUE(got.is_materialized());
+  expect_same_content(got, zero_fill_assembly(box, pieces));
+}
+
+TEST(Assemble, StaysSyntheticAboveTheCap) {
+  const Box box({0, 0}, {4, 8});
+  const std::vector<Slab> mixed = {
+      Slab::synthetic(Box({0, 0}, {4, 5}), 3),
+      Slab::zeros(Box({0, 5}, {4, 8})),
+  };
+  const Slab got = assemble(box, mixed, /*cap=*/box.volume() - 1);
+  EXPECT_FALSE(got.is_materialized());
+  EXPECT_EQ(got.seed(), 3u);
+  EXPECT_TRUE(assemble(box, mixed, box.volume()).is_materialized());
+
+  const std::vector<Slab> one_seed = {Slab::synthetic(box, 4)};
+  EXPECT_FALSE(assemble(box, one_seed, /*cap=*/1).is_materialized());
+}
+
 }  // namespace
 }  // namespace imc::nda
