@@ -19,7 +19,9 @@ namespace imc::apps {
 
 // MSD over the x/y/z components laid out on the first axis of the LAMMPS
 // output (dims {5, nprocs, natoms}: axes 0..2 of dim 0 are positions).
-// Samples up to `max_samples` (proc, atom) pairs deterministically.
+// Samples up to `max_samples` (proc, atom) pairs deterministically. Two
+// synthetic slabs with one seed hold the same value at every coordinate,
+// so their MSD is exactly +0.0 and is returned without sampling.
 double mean_squared_displacement(const nda::Slab& reference,
                                  const nda::Slab& current,
                                  int max_samples = 4096);

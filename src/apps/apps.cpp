@@ -33,13 +33,17 @@ void append_tiled(std::vector<double>& out, std::span<const double> period,
 
 // ------------------------------------------------------------- LAMMPS -----
 
-LammpsSim::LammpsSim(Params params)
-    : params_(params),
-      kernel_(LjMelt::Params{params.kernel_atoms, 0.8442, 3.0, 0.005, 2.5,
-                             params.seed + static_cast<std::uint64_t>(
-                                               params.rank)}) {}
+LammpsSim::LammpsSim(Params params) : params_(params) {
+  if (my_box().volume() <= kMaterializeCapElems) {
+    kernel_.emplace(LjMelt::Params{
+        params.kernel_atoms, 0.8442, 3.0, 0.005, 2.5,
+        params.seed + static_cast<std::uint64_t>(params.rank)});
+  }
+}
 
-void LammpsSim::advance() { kernel_.step(params_.md_steps_per_output); }
+void LammpsSim::advance() {
+  if (kernel_) kernel_->step(params_.md_steps_per_output);
+}
 
 nda::VarDesc LammpsSim::output_desc(int version) const {
   return nda::VarDesc{
@@ -56,19 +60,17 @@ nda::Box LammpsSim::my_box() const {
 nda::Slab LammpsSim::output(int version) const {
   (void)version;
   const nda::Box box = my_box();
-  if (box.volume() > kMaterializeCapElems) {
-    return nda::Slab::synthetic(box, params_.seed);
-  }
+  if (!kernel_) return nda::Slab::synthetic(box, params_.seed);
   // Materialize by tiling the kernel's atoms over the declared atom count.
   // Axis 0 rows are x, y, z, vx, vy: gather each one's per-atom period
   // from the interleaved kernel arrays, then repeat it along the row.
-  const auto n = static_cast<std::size_t>(kernel_.natoms());
+  const auto n = static_cast<std::size_t>(kernel_->natoms());
   std::vector<double> period(n);
   std::vector<double> data;
   data.reserve(box.volume());
   for (std::size_t property = 0; property < 5; ++property) {
     const std::vector<double>& src =
-        property < 3 ? kernel_.positions() : kernel_.velocities();
+        property < 3 ? kernel_->positions() : kernel_->velocities();
     for (std::size_t k = 0; k < n; ++k) period[k] = src[3 * k + property % 3];
     append_tiled(data, period, 0, params_.atoms_per_proc);
   }
@@ -91,12 +93,16 @@ double msd_titan_seconds_per_step(std::uint64_t bytes_processed) {
 
 // ------------------------------------------------------------ Laplace -----
 
-LaplaceSim::LaplaceSim(Params params)
-    : params_(params),
-      kernel_(JacobiLaplace::Params{params.kernel_n, params.kernel_n, 100.0}) {
+LaplaceSim::LaplaceSim(Params params) : params_(params) {
+  if (my_box().volume() <= kMaterializeCapElems) {
+    kernel_.emplace(
+        JacobiLaplace::Params{params.kernel_n, params.kernel_n, 100.0});
+  }
 }
 
-void LaplaceSim::advance() { kernel_.sweep(params_.sweeps_per_output); }
+void LaplaceSim::advance() {
+  if (kernel_) kernel_->sweep(params_.sweeps_per_output);
+}
 
 nda::VarDesc LaplaceSim::output_desc(int version) const {
   return nda::VarDesc{
@@ -115,17 +121,15 @@ nda::Box LaplaceSim::my_box() const {
 nda::Slab LaplaceSim::output(int version) const {
   (void)version;
   const nda::Box box = my_box();
-  if (box.volume() > kMaterializeCapElems) {
-    return nda::Slab::synthetic(box, params_.seed);
-  }
+  if (!kernel_) return nda::Slab::synthetic(box, params_.seed);
   // The field tiles the kn x kn kernel grid: element (i, j) is
   // kernel.at(i % kn, j % kn). Build each distinct tiled row once; the
   // slab is then those rows repeated.
-  const auto kn = static_cast<std::uint64_t>(kernel_.nx());
-  const auto ny = static_cast<std::uint64_t>(kernel_.ny());
+  const auto kn = static_cast<std::uint64_t>(kernel_->nx());
+  const auto ny = static_cast<std::uint64_t>(kernel_->ny());
   const std::uint64_t width = box.extent(1);
   const std::uint64_t distinct = std::min(kn, box.extent(0));
-  const std::span<const double> grid(kernel_.grid());
+  const std::span<const double> grid(kernel_->grid());
   std::vector<double> rows;
   rows.reserve(distinct * width);
   for (std::uint64_t t = 0; t < distinct; ++t) {

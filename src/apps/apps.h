@@ -2,6 +2,11 @@
 // geometry, per-rank slabs, compute-time models, and (for LAMMPS/Laplace)
 // the real micro-kernel behind the data.
 //
+// A kernel runs only where its state reaches a slab. LammpsSim and
+// LaplaceSim build and step their kernel only when my_box() fits
+// kMaterializeCapElems; a larger (paper-scale) rank's output is synthetic,
+// the same slab at every step, and it holds no kernel at all.
+//
 // Compute-time calibration. The paper's figures are images, so absolute
 // times are calibrated to the magnitudes its text implies (both workflows
 // finish in minutes; Laplace+MTA is compute-heavy; Cori compute runs
@@ -12,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "apps/kernels.h"
@@ -22,7 +28,8 @@
 namespace imc::apps {
 
 // Content cap: per-rank slabs at most this many elements are materialized
-// from the real kernel; larger (paper-scale) slabs are synthetic.
+// from the real kernel; larger (paper-scale) slabs are synthetic and have
+// no kernel behind them.
 inline constexpr std::uint64_t kMaterializeCapElems = 1ull << 18;
 
 // ------------------------------------------------------------- LAMMPS -----
@@ -43,7 +50,7 @@ class LammpsSim {
 
   explicit LammpsSim(Params params);
 
-  // One coupling step of the real micro-kernel.
+  // One coupling step of the real micro-kernel (none without a kernel).
   void advance();
 
   nda::VarDesc output_desc(int version) const;
@@ -59,11 +66,14 @@ class LammpsSim {
   // Calibrated compute model (Titan reference seconds per coupling step).
   double titan_seconds_per_step() const;
 
-  const LjMelt& kernel() const { return kernel_; }
+  // Whether my_box() fits kMaterializeCapElems, so a kernel was built.
+  bool has_kernel() const { return kernel_.has_value(); }
+  // Throws std::bad_optional_access unless has_kernel().
+  const LjMelt& kernel() const { return kernel_.value(); }
 
  private:
   Params params_;
-  LjMelt kernel_;
+  std::optional<LjMelt> kernel_;
 };
 
 // Reference MSD analytics cost (per analytics rank per step, Titan).
@@ -88,6 +98,7 @@ class LaplaceSim {
 
   explicit LaplaceSim(Params params);
 
+  // One coupling step of the real micro-kernel (none without a kernel).
   void advance();
 
   nda::VarDesc output_desc(int version) const;
@@ -101,11 +112,14 @@ class LaplaceSim {
 
   double titan_seconds_per_step() const;
 
-  const JacobiLaplace& kernel() const { return kernel_; }
+  // Whether my_box() fits kMaterializeCapElems, so a kernel was built.
+  bool has_kernel() const { return kernel_.has_value(); }
+  // Throws std::bad_optional_access unless has_kernel().
+  const JacobiLaplace& kernel() const { return kernel_.value(); }
 
  private:
   Params params_;
-  JacobiLaplace kernel_;
+  std::optional<JacobiLaplace> kernel_;
 };
 
 // Reference MTA analytics cost (per analytics rank per step, Titan).

@@ -206,7 +206,7 @@ Slab Slab::materialized(Box box, std::vector<double> data) {
   Slab s;
   s.box_ = std::move(box);
   s.materialized_ = true;
-  s.data_ = std::move(data);
+  s.data_ = std::make_shared<std::vector<double>>(std::move(data));
   return s;
 }
 
@@ -232,32 +232,52 @@ std::uint64_t Slab::offset_of(const Dims& coord) const {
   return off;
 }
 
+void Slab::own() {
+  if (data_ == nullptr) {
+    data_ = std::make_shared<std::vector<double>>();
+  } else if (data_.use_count() > 1) {
+    data_ = std::make_shared<std::vector<double>>(*data_);
+  }
+}
+
+std::vector<double>& Slab::data() {
+  own();
+  return *data_;
+}
+
+const std::vector<double>& Slab::data() const {
+  static const std::vector<double> kNone;
+  return data_ != nullptr ? *data_ : kNone;
+}
+
 double Slab::at(const Dims& coord) const {
   if (!materialized_) return synthetic_value(seed_, coord);
-  return data_[offset_of(coord)];
+  return (*data_)[offset_of(coord)];
 }
 
 void Slab::set(const Dims& coord, double value) {
   assert(materialized_);
-  data_[offset_of(coord)] = value;
+  own();
+  (*data_)[offset_of(coord)] = value;
 }
 
 void Slab::fill_from(const Slab& src) {
   assert(materialized_);
   auto overlap = intersect(box_, src.box());
   if (!overlap || overlap->volume() == 0) return;
+  if (src.materialized_ && box_ == src.box_) {
+    // The whole content is replaced by src's: share its buffer.
+    data_ = src.data_;
+    return;
+  }
+  own();
   const std::size_t nd = overlap->lb.size();
   const std::uint64_t row_len = overlap->extent(static_cast<int>(nd) - 1);
   if (src.materialized_) {
-    if (*overlap == box_ && box_ == src.box_) {
-      // Fully-contained fast path: both buffers are exactly the overlap.
-      std::copy(src.data_.begin(), src.data_.end(), data_.begin());
-      return;
-    }
     Dims coord = overlap->lb;
     do {
-      std::copy_n(src.data_.data() + src.offset_of(coord), row_len,
-                  data_.data() + offset_of(coord));
+      std::copy_n(src.data_->data() + src.offset_of(coord), row_len,
+                  data_->data() + offset_of(coord));
     } while (next_row(coord, *overlap));
     return;
   }
@@ -266,7 +286,7 @@ void Slab::fill_from(const Slab& src) {
   Dims coord = overlap->lb;
   do {
     const std::uint64_t prefix = row_prefix(splitmix64(src.seed_), coord);
-    double* row = data_.data() + offset_of(coord);
+    double* row = data_->data() + offset_of(coord);
     for (std::uint64_t i = 0; i < row_len; ++i) {
       row[i] = unit_from_hash(splitmix64(prefix ^ (c0 + i)));
     }
@@ -286,7 +306,7 @@ Slab Slab::extract(const Box& sub) const {
     const std::uint64_t row_len = sub.extent(static_cast<int>(nd) - 1);
     Dims coord = sub.lb;
     do {
-      const double* row = data_.data() + offset_of(coord);
+      const double* row = data_->data() + offset_of(coord);
       data.insert(data.end(), row, row + row_len);
     } while (next_row(coord, sub));
   }
@@ -306,7 +326,7 @@ double Slab::checksum() const {
     const std::uint64_t hash_prefix = row_prefix(0x9e3779b9, coord);
     const std::uint64_t value_prefix =
         materialized_ ? 0 : row_prefix(splitmix64(seed_), coord);
-    const double* row = materialized_ ? data_.data() + offset_of(coord)
+    const double* row = materialized_ ? data_->data() + offset_of(coord)
                                       : nullptr;
     for (std::uint64_t i = 0; i < row_len; ++i) {
       const std::uint64_t c = c0 + i;

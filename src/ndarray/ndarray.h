@@ -19,9 +19,15 @@
 // that all carry one synthetic definition assemble to a synthetic slab at
 // any size (its at() returns the bits a materialized copy would hold), so
 // the materialize caps bound only mixed or materialized content.
+// Materialized content lives in one shared, reference-counted buffer:
+// copying a slab or extracting its whole box shares it, and the first write
+// through set(), fill_from() or non-const data() clones it if another slab
+// still holds it. A buffer is shared only within one simulated world, whose
+// single thread is the only one that copies, writes or drops its slabs.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -122,11 +128,13 @@ class Slab {
   void set(const Dims& coord, double value);  // materialized only
 
   // Copies the intersection of `src` into this slab (materialized target;
-  // synthetic or materialized source).
+  // synthetic or materialized source). A materialized source covering
+  // exactly this box is shared, not copied.
   void fill_from(const Slab& src);
 
   // A new slab covering `sub` (must be inside the box) with the same
-  // content. Synthetic slabs stay synthetic (no copy).
+  // content. Synthetic slabs stay synthetic, and the whole box of a
+  // materialized slab shares its buffer (no copy either way).
   Slab extract(const Box& sub) const;
 
   // Order-independent content fingerprint over the slab: sum of
@@ -136,16 +144,21 @@ class Slab {
   // elements; use only on test-sized slabs.
   double checksum() const;
 
-  std::vector<double>& data() { return data_; }
-  const std::vector<double>& data() const { return data_; }
+  // Row-major elements of a materialized slab (empty for a synthetic one).
+  // The non-const overload first makes the buffer this slab's own, so a
+  // reference it returns is invalidated by copying the slab.
+  std::vector<double>& data();
+  const std::vector<double>& data() const;
 
  private:
   std::uint64_t offset_of(const Dims& coord) const;
+  // Clones the buffer when another slab shares it, before a write.
+  void own();
 
   Box box_;
   bool materialized_ = false;
   std::uint64_t seed_ = 0;
-  std::vector<double> data_;
+  std::shared_ptr<std::vector<double>> data_;  // shared between copies
 };
 
 // A reader's slab over `box` from the pieces a staging library gathered;

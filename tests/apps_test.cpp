@@ -88,6 +88,25 @@ TEST(Msd, ZeroWhenNothingMoved) {
   EXPECT_DOUBLE_EQ(mean_squared_displacement(a, a), 0.0);
 }
 
+TEST(Msd, OneSyntheticDefinitionIsExactlyPositiveZero) {
+  // Two slabs, as two steps of a paper-scale rank hand them to a reader.
+  const nda::Box box({0, 3, 0}, {5, 4, 512000});
+  const nda::Slab reference = nda::Slab::synthetic(box, 7);
+  const nda::Slab current = nda::Slab::synthetic(box, 7);
+  const double msd = mean_squared_displacement(reference, current);
+  EXPECT_EQ(msd, 0.0);
+  EXPECT_FALSE(std::signbit(msd));
+}
+
+TEST(Msd, DifferentSeedsStillSample) {
+  const nda::Box box({0, 0, 0}, {5, 2, 100});
+  const double msd = mean_squared_displacement(
+      nda::Slab::synthetic(box, 7), nda::Slab::synthetic(box, 8));
+  // Independent values uniform on (-1, 1): E[(a - b)^2] is 2/3 per axis.
+  EXPECT_GT(msd, 0.0);
+  EXPECT_NEAR(msd, 2.0, 0.5);
+}
+
 TEST(Msd, PositiveForDisplacedParticles) {
   nda::Box box({0, 0, 0}, {5, 2, 100});
   nda::Slab ref = nda::Slab::zeros(box);
@@ -166,6 +185,23 @@ TEST(LammpsSim, LargeOutputIsSynthetic) {
   EXPECT_FALSE(sim.output(0).is_materialized());
 }
 
+TEST(LammpsSim, KernelOnlyBehindMaterializedOutput) {
+  LammpsSim big(LammpsSim::Params{.rank = 1, .nprocs = 2});
+  ASSERT_GT(big.my_box().volume(), kMaterializeCapElems);
+  EXPECT_FALSE(big.has_kernel());
+  const nda::Slab before = big.output(0);
+  big.advance();
+  const nda::Slab after = big.output(1);
+  EXPECT_FALSE(after.is_materialized());
+  EXPECT_EQ(after.box(), before.box());
+  EXPECT_EQ(after.seed(), before.seed());
+
+  LammpsSim small(LammpsSim::Params{
+      .rank = 0, .nprocs = 2, .atoms_per_proc = 1000, .kernel_atoms = 108});
+  ASSERT_LE(small.my_box().volume(), kMaterializeCapElems);
+  EXPECT_TRUE(small.has_kernel());
+}
+
 TEST(LaplaceSim, PaperGeometry) {
   LaplaceSim sim(LaplaceSim::Params{.rank = 1, .nprocs = 64});
   EXPECT_EQ(sim.output_desc(0).global, (nda::Dims{4096, 64ull * 4096}));
@@ -193,6 +229,24 @@ TEST(LaplaceSim, OutputTilesKernelGridElementForElement) {
           << "at (" << i << ", " << j << ")";
     }
   }
+}
+
+TEST(LaplaceSim, KernelOnlyBehindMaterializedOutput) {
+  LaplaceSim big(LaplaceSim::Params{
+      .rank = 1, .nprocs = 4, .rows = 1024, .cols_per_proc = 1024});
+  ASSERT_GT(big.my_box().volume(), kMaterializeCapElems);
+  EXPECT_FALSE(big.has_kernel());
+  const nda::Slab before = big.output(0);
+  big.advance();
+  const nda::Slab after = big.output(1);
+  EXPECT_FALSE(after.is_materialized());
+  EXPECT_EQ(after.box(), before.box());
+  EXPECT_EQ(after.seed(), before.seed());
+
+  LaplaceSim small(LaplaceSim::Params{
+      .rank = 1, .nprocs = 4, .rows = 512, .cols_per_proc = 512});
+  ASSERT_LE(small.my_box().volume(), kMaterializeCapElems);
+  EXPECT_TRUE(small.has_kernel());
 }
 
 TEST(LaplaceSim, ComputeScalesWithProblemSize) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
+#include <utility>
 
 #include "ndarray/ndarray.h"
 
@@ -196,6 +198,9 @@ TEST(Slab, ExtractOfMaterializedCopiesContent) {
   EXPECT_TRUE(sub.is_materialized());
   EXPECT_DOUBLE_EQ(sub.at({3, 4}), 1.25);
   EXPECT_DOUBLE_EQ(sub.at({2, 2}), 0.0);
+  // A part of the box gets a buffer of its own.
+  EXPECT_EQ(std::as_const(sub).data().size(), 16u);
+  EXPECT_NE(std::as_const(sub).data().data(), std::as_const(s).data().data());
 }
 
 TEST(Slab, FillFromCopiesOnlyOverlap) {
@@ -298,16 +303,44 @@ TEST(Slab, FullyContainedFillUsesWholeBuffer) {
   dst.fill_from(src);
   EXPECT_DOUBLE_EQ(dst.at({5, 5}), 2.5);
   EXPECT_DOUBLE_EQ(dst.checksum(), src.checksum());
+  EXPECT_EQ(std::as_const(dst).data().data(), std::as_const(src).data().data());
 }
 
 TEST(Slab, ExtractWholeBoxEqualsCopy) {
   Slab src = Slab::zeros(Box({0, 0}, {5, 5}));
   src.set({4, 4}, -3.0);
-  Slab whole = src.extract(src.box());
-  EXPECT_TRUE(whole.is_materialized());
-  EXPECT_EQ(whole.box(), src.box());
-  EXPECT_DOUBLE_EQ(whole.at({4, 4}), -3.0);
-  EXPECT_DOUBLE_EQ(whole.checksum(), src.checksum());
+  const Slab whole = src.extract(src.box());
+  const Slab copy = src;
+  for (const Slab* shared : {&whole, &copy}) {
+    EXPECT_TRUE(shared->is_materialized());
+    EXPECT_EQ(shared->box(), src.box());
+    EXPECT_DOUBLE_EQ(shared->at({4, 4}), -3.0);
+    EXPECT_DOUBLE_EQ(shared->checksum(), src.checksum());
+    // Neither copies: both read the source's buffer.
+    EXPECT_EQ(shared->data().data(), std::as_const(src).data().data());
+  }
+}
+
+TEST(Slab, WritesToASharedBufferCloneIt) {
+  void (*const writes[])(Slab&) = {
+      [](Slab& s) { s.set({1, 2}, 9.0); },
+      [](Slab& s) { s.fill_from(Slab::synthetic(Box({0, 0}, {2, 3}), 5)); },
+      [](Slab& s) { s.data()[7] = 9.0; },
+  };
+  std::vector<double> values(16);
+  std::iota(values.begin(), values.end(), 1.0);
+  for (auto write : writes) {
+    const Slab original = Slab::materialized(Box({0, 0}, {4, 4}), values);
+    const double sum = original.checksum();
+    for (bool whole_extract : {false, true}) {
+      Slab copy = whole_extract ? original.extract(original.box()) : original;
+      write(copy);
+      EXPECT_NE(copy.checksum(), sum);  // the write landed in the copy
+      EXPECT_NE(std::as_const(copy).data().data(), original.data().data());
+      EXPECT_EQ(original.data(), values);
+      EXPECT_EQ(original.checksum(), sum);
+    }
+  }
 }
 
 TEST(Slab, ChecksumMatchesDefinitionForBothKinds) {
