@@ -250,19 +250,24 @@ IMC_THREADS=8 "$tsan_build/bench/bench_ext_chaos" >/dev/null
 # Repository benchmark: wfbench/ is a CMake project of its own that links
 # the src/ libraries, so no target above builds it. Build it with its
 # self-tests, then run each workload for one short pass: every Spec run must
-# match the committed wfbench/reference/*.ref with a clean leak ledger.
+# match the committed wfbench/reference/*.ref with a clean leak ledger. A
+# second, traced pass replays DataSpaces, DIMES, Flexpath and Decaf put/get
+# directly; its parity guards abort the run when the replay's server count,
+# server peak or fabric bytes drift from workflow::run.
 echo "==> wfbench (build + self-tests + reference check per workload)"
 wfb="$repo/.bench_build/wfbench"
 cmake -S "$repo/wfbench" -B "$wfb" -DCMAKE_BUILD_TYPE=Release \
   ${CMAKE_GENERATOR:+-G "$CMAKE_GENERATOR"}
 cmake --build "$wfb" -j "$(nproc)" --target wfbench wfbench_test
 ctest --test-dir "$wfb" --output-on-failure
-for workload in laplace-content lammps-staging sweep-mixed; do
-  result="$(python3 "$repo/wfbench/run.py" --workload "$workload" \
-    --seconds 1 --trace 0 | tail -n 1)"
-  echo "$workload: $result"
-  python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] > 0)' \
-    "$result"
+for trace in 0 1; do
+  for workload in laplace-content lammps-staging sweep-mixed; do
+    result="$(python3 "$repo/wfbench/run.py" --workload "$workload" \
+      --seconds 1 --trace "$trace" | tail -n 1)"
+    echo "$workload (trace $trace): $result"
+    python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] > 0)' \
+      "$result"
+  done
 done
 
 echo "==> CI OK"

@@ -114,6 +114,11 @@ Result<nda::Dims> resolve_dims(
       return make_error(ErrorCode::kInvalidArgument,
                         "empty dimension in '" + spec + "'");
     }
+    if (dims.size() == nda::Dims::kMaxRank) {
+      return make_error(ErrorCode::kInvalidArgument,
+                        "more than " + std::to_string(nda::Dims::kMaxRank) +
+                            " dimensions in '" + spec + "'");
+    }
     if (std::isdigit(static_cast<unsigned char>(token[0]))) {
       dims.push_back(std::strtoull(token.c_str(), nullptr, 10));
     } else {

@@ -67,7 +67,8 @@ struct AdiosConfig {
 // Parses an <adios-config> document.
 Result<AdiosConfig> parse_config(const std::string& xml);
 
-// Resolves "5,nprocs,512000" against a symbol table.
+// Resolves "5,nprocs,512000" against a symbol table. A spec listing more
+// than nda::Dims::kMaxRank dimensions is kInvalidArgument.
 Result<nda::Dims> resolve_dims(const std::string& spec,
                                const std::map<std::string, std::uint64_t>& symbols);
 

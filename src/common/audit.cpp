@@ -1,6 +1,8 @@
 #include "common/audit.h"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/env.h"
 
@@ -68,7 +70,10 @@ bool Auditor::clean() const {
 std::vector<std::string> Auditor::leaks() const {
   std::vector<std::string> out;
   for (int idx = 0; idx < kResourceCount; ++idx) {
-    for (const auto& [owner, count] : ledger_[idx]) {
+    std::vector<std::pair<std::string_view, std::uint64_t>> owners(
+        ledger_[idx].begin(), ledger_[idx].end());
+    std::sort(owners.begin(), owners.end());
+    for (const auto& [owner, count] : owners) {
       std::ostringstream line;
       line << to_string(static_cast<Resource>(idx)) << ": " << count
            << " outstanding (" << owner << ")";

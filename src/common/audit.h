@@ -18,9 +18,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -47,16 +47,18 @@ class Auditor {
   void violation(const std::string& what);
 
   std::uint64_t outstanding(Resource r) const;
-  // Formatted "resource: N outstanding (owner tag)" lines plus any recorded
-  // violations; empty means the scenario tore down cleanly.
+  // Formatted "resource: N outstanding (owner tag)" lines, by resource and
+  // then by owner, plus any recorded violations; empty means the scenario
+  // tore down cleanly.
   std::vector<std::string> leaks() const;
   const std::vector<std::string>& violations() const { return violations_; }
   bool clean() const;
   void reset();
 
  private:
-  // owner -> outstanding count, per resource class.
-  std::map<std::string, std::uint64_t> ledger_[kResourceCount];
+  // owner -> outstanding count, per resource class. Hashed: leaks() sorts
+  // the owners, so the report never depends on bucket order.
+  std::unordered_map<std::string, std::uint64_t> ledger_[kResourceCount];
   std::uint64_t totals_[kResourceCount] = {};
   std::vector<std::string> violations_;
 };

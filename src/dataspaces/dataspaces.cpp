@@ -293,9 +293,16 @@ void DataSpaces::handle_put_commit(Server& server, PutCommit& req) {
   if (sit == server.staged.end()) return;  // evicted already
   auto vit = sit->second.find(req.var.version);
   if (vit == sit->second.end()) return;  // evicted already
-  for (auto& object : vit->second.objects) {
-    if (object.box == req.slab.box() && !object.slab.box().volume()) {
-      object.slab = std::move(req.slab);
+  // The content lands in the first placeholder with an equal box; every
+  // object before the cursor already holds content and cannot match.
+  auto& objects = vit->second.objects;
+  std::size_t& open = vit->second.first_open;
+  for (std::size_t i = open; i < objects.size(); ++i) {
+    if (objects[i].box == req.slab.box() && !objects[i].slab.box().volume()) {
+      objects[i].slab = std::move(req.slab);
+      while (open < objects.size() && objects[open].slab.box().volume()) {
+        ++open;
+      }
       return;
     }
   }

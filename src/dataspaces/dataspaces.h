@@ -165,6 +165,10 @@ class DataSpaces {
   };
   struct VersionEntry {
     std::vector<StagedObject> objects;
+    // Position of the first placeholder still waiting for its PutCommit.
+    // Every object before it holds content, and content is never taken
+    // back, so a commit's scan starts here.
+    std::size_t first_open = 0;
     // Spatial index over objects' boxes (ids are positions in `objects`),
     // so a get resolves overlaps without scanning every staged object.
     nda::BoxIndex index;

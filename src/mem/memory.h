@@ -85,6 +85,12 @@ class ProcessMemory {
                 NodeMemory* node = nullptr)
       : engine_(&engine), name_(std::move(name)), node_(node) {
     by_tag_.fill(0);
+#if IMC_CHECK_ENABLED
+    for (int i = 0; i < kTagCount; ++i) {
+      audit_owners_[static_cast<std::size_t>(i)] =
+          name_ + "/" + std::string(to_string(static_cast<Tag>(i)));
+    }
+#endif
   }
 
   // Accounts bytes; fails (and accounts nothing) if the node is out of DRAM.
@@ -126,13 +132,9 @@ class ProcessMemory {
   }
 
  private:
-  std::string audit_owner(Tag tag) const {
-#if IMC_CHECK_ENABLED
-    return name_ + "/" + std::string(to_string(tag));
-#else
-    (void)tag;
-    return {};
-#endif
+  // The audit ledger's "name/tag" owner key, built once per tag.
+  const std::string& audit_owner(Tag tag) const {
+    return audit_owners_[static_cast<std::size_t>(tag)];
   }
 
   void record() {
@@ -174,6 +176,7 @@ class ProcessMemory {
   sim::Engine* engine_;
   std::string name_;
   std::string trace_name_;  // lazily built "mem.<name>" gauge key
+  std::array<std::string, kTagCount> audit_owners_;  // empty without IMC_CHECK
   NodeMemory* node_;
   std::array<std::uint64_t, kTagCount> by_tag_{};
   std::array<std::uint64_t, kTagCount> peak_by_tag_{};

@@ -7,7 +7,7 @@
 
 namespace imc::nda {
 
-Box::Box(Dims lower, Dims upper) : lb(std::move(lower)), ub(std::move(upper)) {
+Box::Box(Dims lower, Dims upper) : lb(lower), ub(upper) {
   assert(lb.size() == ub.size());
   for (std::size_t d = 0; d < lb.size(); ++d) assert(lb[d] <= ub[d]);
 }

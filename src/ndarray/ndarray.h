@@ -24,11 +24,23 @@
 // through set(), fill_from() or non-const data() clones it if another slab
 // still holds it. A buffer is shared only within one simulated world, whose
 // single thread is the only one that copies, writes or drops its slabs.
+//
+// Rank limit. A coordinate or extent list (Dims) holds at most kMaxRank = 4
+// values inline, enough for every array in the study (at most 3-D), so a
+// Box is two such lists and never touches the heap: copying, comparing and
+// intersecting boxes allocates nothing. Growing a Dims past the limit throws
+// std::length_error; it never truncates.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
+#include <compare>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,7 +49,72 @@
 
 namespace imc::nda {
 
-using Dims = std::vector<std::uint64_t>;
+// A coordinate or extent per dimension, stored inline: the part of the
+// std::vector<std::uint64_t> interface the data model uses, with equality
+// and lexicographic ordering as std::vector defines them.
+class Dims {
+ public:
+  static constexpr std::size_t kMaxRank = 4;
+  using iterator = std::uint64_t*;
+  using const_iterator = const std::uint64_t*;
+
+  Dims() = default;
+  explicit Dims(std::size_t n, std::uint64_t value = 0) { resize(n, value); }
+  Dims(std::initializer_list<std::uint64_t> values) {
+    check_rank(values.size());
+    std::copy(values.begin(), values.end(), v_.begin());
+    n_ = values.size();
+  }
+
+  std::size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  std::uint64_t& operator[](std::size_t d) {
+    assert(d < n_);
+    return v_[d];
+  }
+  std::uint64_t operator[](std::size_t d) const {
+    assert(d < n_);
+    return v_[d];
+  }
+  iterator begin() { return v_.data(); }
+  iterator end() { return v_.data() + n_; }
+  const_iterator begin() const { return v_.data(); }
+  const_iterator end() const { return v_.data() + n_; }
+
+  void push_back(std::uint64_t value) {
+    check_rank(n_ + 1);
+    v_[n_++] = value;
+  }
+  void resize(std::size_t n, std::uint64_t value = 0) {
+    check_rank(n);
+    if (n > n_) std::fill(v_.begin() + n_, v_.begin() + n, value);
+    n_ = n;
+  }
+  void assign(std::size_t n, std::uint64_t value) {
+    n_ = 0;
+    resize(n, value);
+  }
+
+  friend bool operator==(const Dims& a, const Dims& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  friend std::strong_ordering operator<=>(const Dims& a, const Dims& b) {
+    return std::lexicographical_compare_three_way(a.begin(), a.end(),
+                                                  b.begin(), b.end());
+  }
+
+ private:
+  static void check_rank(std::size_t n) {
+    if (n > kMaxRank) {
+      throw std::length_error("nda::Dims rank " + std::to_string(n) +
+                              " exceeds the limit of " +
+                              std::to_string(kMaxRank));
+    }
+  }
+
+  std::array<std::uint64_t, kMaxRank> v_{};
+  std::size_t n_ = 0;
+};
 
 // Half-open axis-aligned box: [lb[d], ub[d]) per dimension.
 struct Box {

@@ -98,6 +98,17 @@ TEST(Config, ResolveDimsUnknownSymbolFails) {
   EXPECT_FALSE(resolve_dims("5,unknown", {}).has_value());
 }
 
+TEST(Config, ResolveDimsBeyondMaxRankIsInvalid) {
+  auto four = resolve_dims("1,2,3,n", {{"n", 4}});
+  ASSERT_TRUE(four.has_value()) << four.status();
+  EXPECT_EQ(four->size(), nda::Dims::kMaxRank);
+  auto five = resolve_dims("1,2,3,n,5", {{"n", 4}});
+  EXPECT_EQ(five.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(five.status().to_string().find("more than 4 dimensions"),
+            std::string::npos)
+      << five.status();
+}
+
 TEST(Methods, RoundTripNames) {
   EXPECT_EQ(*parse_method("MPI"), Method::kMpiIo);
   EXPECT_EQ(*parse_method("DATASPACES"), Method::kDataspaces);

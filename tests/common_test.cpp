@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/audit.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -7,6 +12,37 @@
 
 namespace imc {
 namespace {
+
+// The leak report lists resources in enum order and, within each, owners
+// in sorted order, however the ledger stores them.
+TEST(Auditor, LeakLinesSortedByOwnerWithinEachResource) {
+  audit::Auditor a;
+  std::vector<std::string> owners;
+  for (int i = 0; i < 40; ++i) {
+    owners.push_back("rank" + std::to_string((i * 17) % 40) + "/library");
+  }
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    a.acquire(audit::Resource::kStagedObject, owners[i], i + 1);
+    a.acquire(audit::Resource::kProcessBytes, owners[i], 100 + i);
+  }
+  a.violation("double unlock");
+  std::vector<std::string> want;
+  for (auto r : {audit::Resource::kProcessBytes,
+                 audit::Resource::kStagedObject}) {
+    std::vector<std::pair<std::string, std::uint64_t>> rows;
+    for (std::size_t i = 0; i < owners.size(); ++i) {
+      rows.emplace_back(owners[i],
+                        r == audit::Resource::kProcessBytes ? 100 + i : i + 1);
+    }
+    std::sort(rows.begin(), rows.end());
+    for (const auto& [owner, count] : rows) {
+      want.push_back(std::string(audit::to_string(r)) + ": " +
+                     std::to_string(count) + " outstanding (" + owner + ")");
+    }
+  }
+  want.push_back("violation: double unlock");
+  EXPECT_EQ(a.leaks(), want);
+}
 
 TEST(Status, DefaultIsOk) {
   Status s;

@@ -440,5 +440,128 @@ TEST_F(DsFixture, SocketTransportDepletesDescriptorsAtScale) {
   EXPECT_EQ(depleted, 4);
 }
 
+// uGNI, except that the payload out of one process is held back for
+// `delay` seconds, or lost when `delay` < 0: that writer's put is granted
+// its placeholder, then commits late or never.
+class PayloadFaultTransport final : public net::Transport {
+ public:
+  PayloadFaultTransport(sim::Engine& engine, net::Transport& inner, int pid,
+                        double delay)
+      : engine_(&engine), inner_(&inner), pid_(pid), delay_(delay) {}
+  net::TransportKind kind() const override { return inner_->kind(); }
+  sim::Task<Status> connect(const net::Endpoint& a,
+                            const net::Endpoint& b) override {
+    return inner_->connect(a, b);
+  }
+  sim::Task<Status> transfer(const net::Endpoint& from,
+                             const net::Endpoint& to, std::uint64_t bytes,
+                             net::TransferOptions opts) override {
+    // Control messages are pinned on both sides; only payloads are not.
+    if (from.pid == pid_ && !opts.src_pinned) {
+      if (delay_ < 0) {
+        co_return make_error(ErrorCode::kConnectionFailed, "payload lost");
+      }
+      co_await engine_->sleep(delay_);
+    }
+    co_return co_await inner_->transfer(from, to, bytes, opts);
+  }
+  void disconnect_all(const net::Endpoint& e) override {
+    inner_->disconnect_all(e);
+  }
+
+ private:
+  sim::Engine* engine_;
+  net::Transport* inner_;
+  int pid_;
+  double delay_;
+};
+
+// Two writers on one server: writer 1 is granted its placeholder first, but
+// its payload is held back, so writer 2's commit reaches the server first.
+// Each commit must still land in its own placeholder.
+TEST_F(DsFixture, CommitsInReverseOfPrepOrderFillTheirOwnPlaceholders) {
+  PayloadFaultTransport slow(engine, ugni, /*pid=*/1, /*delay=*/1e-3);
+  auto ds = deploy(1, {}, &slow);
+  const VarDesc var{"order", {2, 64}, 0};
+  const auto boxes = nda::decompose_1d(var.global, 2, 0);
+  std::vector<Rank> writers;
+  writers.push_back(make_rank(*ds, 1));
+  writers.push_back(make_rank(*ds, 2));
+  double put_done[2] = {-1, -1};
+  int puts = 0;
+  auto writer = [](sim::Engine& e, DsFixture::Rank& w, VarDesc var, Slab src,
+                   double start, double& done, int& puts) -> sim::Task<> {
+    EXPECT_TRUE((co_await w.client->init()).is_ok());
+    co_await e.sleep(start);
+    EXPECT_TRUE((co_await w.client->put(var, src)).is_ok());
+    done = e.now();  // the commit was queued at this instant
+    ++puts;
+  };
+  for (std::size_t i = 0; i < 2; ++i) {
+    engine.spawn(writer(engine, writers[i], var,
+                        Slab::synthetic(boxes[i], 31 + i),
+                        static_cast<double>(i) * 10e-6, put_done[i], puts));
+  }
+  auto reader = make_rank(*ds, 3);
+  engine.spawn([](sim::Engine& e, DsFixture::Rank& r, VarDesc var,
+                  std::vector<Box> boxes, int& puts) -> sim::Task<> {
+    EXPECT_TRUE((co_await r.client->init()).is_ok());
+    while (puts < 2) co_await e.sleep(1e-3);
+    EXPECT_TRUE((co_await r.client->publish(var)).is_ok());
+    for (std::size_t i = 0; i < boxes.size(); ++i) {
+      auto got = co_await r.client->get(var, boxes[i]);
+      EXPECT_TRUE(got.has_value()) << got.status();
+      if (got.has_value()) {
+        EXPECT_FALSE(got->is_materialized());  // one synthetic definition
+        EXPECT_EQ(got->seed(), 31 + i);
+      }
+    }
+  }(engine, reader, var, boxes, puts));
+  run_all();
+  EXPECT_LT(put_done[1], put_done[0]);  // the commits crossed
+}
+
+// The placeholder of an aborted put stays open: it reads back as zeros,
+// and the commits that arrive after it still land in their own slots.
+TEST_F(DsFixture, AbortedPutReadsZerosWhileLaterCommitsLand) {
+  PayloadFaultTransport lossy(engine, ugni, /*pid=*/1, /*delay=*/-1);
+  auto ds = deploy(1, {}, &lossy);
+  const VarDesc var{"abort", {3, 64}, 0};
+  const auto boxes = nda::decompose_1d(var.global, 3, 0);
+  std::vector<Rank> writers;
+  for (int i = 0; i < 3; ++i) writers.push_back(make_rank(*ds, 1 + i));
+  engine.spawn([](DsFixture::Rank& w0, DsFixture::Rank& w1,
+                  DsFixture::Rank& w2, VarDesc var,
+                  std::vector<Box> boxes) -> sim::Task<> {
+    EXPECT_TRUE((co_await w0.client->init()).is_ok());
+    EXPECT_TRUE((co_await w1.client->init()).is_ok());
+    EXPECT_TRUE((co_await w2.client->init()).is_ok());
+    auto aborted = co_await w0.client->put(var, Slab::synthetic(boxes[0], 40));
+    EXPECT_EQ(aborted.code(), ErrorCode::kConnectionFailed);
+    EXPECT_TRUE(
+        (co_await w1.client->put(var, Slab::synthetic(boxes[1], 41))).is_ok());
+    EXPECT_TRUE(
+        (co_await w2.client->put(var, Slab::synthetic(boxes[2], 42))).is_ok());
+    EXPECT_TRUE((co_await w1.client->publish(var)).is_ok());
+
+    auto zeros = co_await w1.client->get(var, boxes[0]);
+    EXPECT_TRUE(zeros.has_value()) << zeros.status();
+    if (zeros.has_value()) {
+      EXPECT_TRUE(zeros->is_materialized());
+      for (double x : zeros->data()) EXPECT_EQ(x, 0.0);
+    }
+    for (std::size_t i = 1; i < 3; ++i) {
+      auto got = co_await w1.client->get(var, boxes[i]);
+      EXPECT_TRUE(got.has_value()) << got.status();
+      if (got.has_value()) {
+        EXPECT_FALSE(got->is_materialized());
+        EXPECT_EQ(got->seed(), 40 + i);
+      }
+    }
+  }(writers[0], writers[1], writers[2], var, boxes));
+  run_all();
+  EXPECT_EQ(ds->server_stats(0).puts, 3u);  // three placeholders staged
+}
+
 }  // namespace
 }  // namespace imc::dataspaces

@@ -1,13 +1,63 @@
 #include <gtest/gtest.h>
 
+#include <compare>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "ndarray/ndarray.h"
 
 namespace imc::nda {
 namespace {
+
+// Dims are inline, so copying a Box never allocates.
+static_assert(std::is_trivially_copyable_v<Box>);
+
+// Dims keys ordered containers (the staging-region cache), so its equality
+// and ordering must be std::vector's.
+TEST(Dims, EqualityAndOrderingMatchStdVector) {
+  Rng rng(0xd1a5ull);
+  auto random_dims = [&] {
+    Dims d;
+    const std::uint64_t rank = rng.next_below(Dims::kMaxRank + 1);
+    // Few distinct values, so equal and prefix pairs are common.
+    for (std::uint64_t i = 0; i < rank; ++i) d.push_back(rng.next_below(3));
+    return d;
+  };
+  for (int i = 0; i < 4000; ++i) {
+    const Dims a = random_dims();
+    const Dims b = random_dims();
+    const std::vector<std::uint64_t> va(a.begin(), a.end());
+    const std::vector<std::uint64_t> vb(b.begin(), b.end());
+    ASSERT_EQ(a.size(), va.size());
+    EXPECT_EQ(a == b, va == vb);
+    EXPECT_EQ(a < b, va < vb);
+    EXPECT_EQ(a <=> b, va <=> vb);
+  }
+}
+
+TEST(Dims, GrowingPastMaxRankThrows) {
+  Dims d(Dims::kMaxRank, 7);
+  EXPECT_THROW(d.push_back(1), std::length_error);
+  EXPECT_THROW(d.resize(Dims::kMaxRank + 1), std::length_error);
+  EXPECT_EQ(d, Dims(Dims::kMaxRank, 7));  // a failed call changes nothing
+  EXPECT_THROW(Dims(Dims::kMaxRank + 1), std::length_error);
+  EXPECT_THROW((Dims{1, 2, 3, 4, 5}), std::length_error);
+}
+
+TEST(Dims, ShrinkThenGrowRefills) {
+  Dims d = {4, 5, 6};
+  d.resize(1);
+  EXPECT_EQ(d, (Dims{4}));
+  d.resize(3, 9);
+  EXPECT_EQ(d, (Dims{4, 9, 9}));
+  d.assign(2, 0);
+  EXPECT_EQ(d, (Dims{0, 0}));
+}
 
 TEST(Box, VolumeAndExtent) {
   Box b({0, 10}, {5, 30});
