@@ -1,9 +1,5 @@
 #include "apps/apps.h"
 
-#include <algorithm>
-#include <cassert>
-#include <span>
-
 namespace imc::apps {
 namespace {
 
@@ -12,22 +8,6 @@ constexpr double kLammpsSecondsPerStep = 2.0;
 constexpr double kLaplaceSecondsPerStepAt4096 = 8.0;
 constexpr double kMsdSecondsPerMiB = 0.02;   // ~0.8 s over two 20 MB slabs
 constexpr double kMtaSecondsPerMiB = 0.016;  // ~4 s over two 128 MB slabs
-
-// Appends `len` elements of the sequence that repeats `period` forever,
-// starting at period[phase]: the tiling that spreads a micro-kernel's state
-// over a paper-sized slab, copied in whole runs.
-void append_tiled(std::vector<double>& out, std::span<const double> period,
-                  std::uint64_t phase, std::uint64_t len) {
-  assert(len == 0 || phase < period.size());
-  while (len > 0) {
-    const std::uint64_t run =
-        std::min<std::uint64_t>(len, period.size() - phase);
-    out.insert(out.end(), period.begin() + static_cast<std::ptrdiff_t>(phase),
-               period.begin() + static_cast<std::ptrdiff_t>(phase + run));
-    len -= run;
-    phase = 0;
-  }
-}
 
 }  // namespace
 
@@ -61,20 +41,19 @@ nda::Slab LammpsSim::output(int version) const {
   (void)version;
   const nda::Box box = my_box();
   if (!kernel_) return nda::Slab::synthetic(box, params_.seed);
-  // Materialize by tiling the kernel's atoms over the declared atom count.
-  // Axis 0 rows are x, y, z, vx, vy: gather each one's per-atom period
-  // from the interleaved kernel arrays, then repeat it along the row.
+  // The kernel's atoms tile the declared atom count: element (p, rank, a)
+  // is property p of kernel atom a mod n. Axis 0 rows are x, y, z, vx, vy,
+  // gathered per atom from the interleaved kernel arrays.
   const auto n = static_cast<std::size_t>(kernel_->natoms());
-  std::vector<double> period(n);
-  std::vector<double> data;
-  data.reserve(box.volume());
+  std::vector<double> block(5 * n);
   for (std::size_t property = 0; property < 5; ++property) {
     const std::vector<double>& src =
         property < 3 ? kernel_->positions() : kernel_->velocities();
-    for (std::size_t k = 0; k < n; ++k) period[k] = src[3 * k + property % 3];
-    append_tiled(data, period, 0, params_.atoms_per_proc);
+    for (std::size_t k = 0; k < n; ++k) {
+      block[property * n + k] = src[3 * k + property % 3];
+    }
   }
-  return nda::Slab::materialized(box, std::move(data));
+  return nda::Slab::tiled(box, {5, 1, n}, std::move(block));
 }
 
 double LammpsSim::titan_seconds_per_step() const {
@@ -122,24 +101,12 @@ nda::Slab LaplaceSim::output(int version) const {
   (void)version;
   const nda::Box box = my_box();
   if (!kernel_) return nda::Slab::synthetic(box, params_.seed);
-  // The field tiles the kn x kn kernel grid: element (i, j) is
-  // kernel.at(i % kn, j % kn). Build each distinct tiled row once; the
-  // slab is then those rows repeated.
-  const auto kn = static_cast<std::uint64_t>(kernel_->nx());
-  const auto ny = static_cast<std::uint64_t>(kernel_->ny());
-  const std::uint64_t width = box.extent(1);
-  const std::uint64_t distinct = std::min(kn, box.extent(0));
-  const std::span<const double> grid(kernel_->grid());
-  std::vector<double> rows;
-  rows.reserve(distinct * width);
-  for (std::uint64_t t = 0; t < distinct; ++t) {
-    const std::uint64_t r = (box.lb[0] + t) % kn;
-    append_tiled(rows, grid.subspan(r * ny, kn), box.lb[1] % kn, width);
-  }
-  std::vector<double> data;
-  data.reserve(box.volume());
-  append_tiled(data, rows, 0, box.volume());
-  return nda::Slab::materialized(box, std::move(data));
+  // The field tiles the kernel grid: element (i, j) is
+  // kernel.at(i mod nx, j mod ny).
+  return nda::Slab::tiled(box,
+                          {static_cast<std::uint64_t>(kernel_->nx()),
+                           static_cast<std::uint64_t>(kernel_->ny())},
+                          kernel_->grid());
 }
 
 double LaplaceSim::titan_seconds_per_step() const {

@@ -5,7 +5,10 @@
 // A kernel runs only where its state reaches a slab. LammpsSim and
 // LaplaceSim build and step their kernel only when my_box() fits
 // kMaterializeCapElems; a larger (paper-scale) rank's output is synthetic,
-// the same slab at every step, and it holds no kernel at all.
+// the same slab at every step, and it holds no kernel at all. Under the cap
+// the output is a tiled slab (nda::Slab::tiled) whose period block is the
+// kernel state itself, so an output costs a copy of that state, not of the
+// declared slab it repeats over.
 //
 // Compute-time calibration. The paper's figures are images, so absolute
 // times are calibrated to the magnitudes its text implies (both workflows
@@ -55,8 +58,9 @@ class LammpsSim {
 
   nda::VarDesc output_desc(int version) const;
   nda::Box my_box() const;  // [0..5, rank..rank+1, 0..atoms_per_proc)
-  // The rank's output slab for the current state: materialized by tiling
-  // the kernel's atoms when small enough, else synthetic.
+  // The rank's output slab for the current state: when small enough, the
+  // kernel's atoms tiled along axis 2 (period {5, 1, natoms}), else
+  // synthetic.
   nda::Slab output(int version) const;
 
   // Per-rank application state (the paper's Fig. 5: ~173 MB of numerical
@@ -103,6 +107,8 @@ class LaplaceSim {
 
   nda::VarDesc output_desc(int version) const;
   nda::Box my_box() const;  // [0..rows, rank*cols..(rank+1)*cols)
+  // When small enough, the kernel grid tiled over the field (period
+  // {nx, ny}, identical on every rank), else synthetic.
   nda::Slab output(int version) const;
 
   std::uint64_t state_bytes() const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <limits>
 #include <sstream>
 
@@ -193,6 +194,20 @@ std::uint64_t row_prefix(std::uint64_t h, const Dims& coord) {
   return h;
 }
 
+// Offset of `coord` mod `period` in a row-major period block.
+std::uint64_t block_offset(const Dims& coord, const Dims& period) {
+  std::uint64_t off = 0;
+  for (std::size_t d = 0; d < coord.size(); ++d) {
+    off = off * period[d] + coord[d] % period[d];
+  }
+  return off;
+}
+
+// Reports a bad Slab::tiled argument, in every build.
+[[noreturn]] void reject_tiling(const std::string& why) {
+  throw std::invalid_argument("nda::Slab::tiled: " + why);
+}
+
 }  // namespace
 
 double synthetic_value(std::uint64_t seed, const Dims& coord) {
@@ -206,7 +221,34 @@ Slab Slab::materialized(Box box, std::vector<double> data) {
   Slab s;
   s.box_ = std::move(box);
   s.materialized_ = true;
-  s.data_ = std::make_shared<std::vector<double>>(std::move(data));
+  s.data_ = std::make_shared<Buffer>(Buffer{std::move(data), {}});
+  return s;
+}
+
+Slab Slab::tiled(Box box, Dims period, std::vector<double> block) {
+  if (period.empty() || period.size() != box.lb.size()) {
+    reject_tiling("period rank " + std::to_string(period.size()) +
+                  " differs from box rank " + std::to_string(box.lb.size()));
+  }
+  if (std::find(period.begin(), period.end(), std::uint64_t{0}) !=
+      period.end()) {
+    reject_tiling("zero period extent");
+  }
+  const auto not_one_period = [&] {
+    return "block of " + std::to_string(block.size()) +
+           " elements is not one period";
+  };
+  std::uint64_t volume = 1;
+  for (std::uint64_t extent : period) {
+    // Compared before multiplying, so the product cannot wrap.
+    if (extent > block.size() / volume) reject_tiling(not_one_period());
+    volume *= extent;
+  }
+  if (volume != block.size()) reject_tiling(not_one_period());
+  Slab s;
+  s.box_ = std::move(box);
+  s.materialized_ = true;
+  s.data_ = std::make_shared<Buffer>(Buffer{std::move(block), period});
   return s;
 }
 
@@ -232,33 +274,81 @@ std::uint64_t Slab::offset_of(const Dims& coord) const {
   return off;
 }
 
+void Slab::read_row(const Dims& coord, std::uint64_t len, double* out) const {
+  const std::size_t last = coord.size() - 1;
+  if (!materialized_) {
+    // One hash prefix per row, finished per element.
+    const std::uint64_t prefix = row_prefix(splitmix64(seed_), coord);
+    for (std::uint64_t i = 0; i < len; ++i) {
+      out[i] = unit_from_hash(splitmix64(prefix ^ (coord[last] + i)));
+    }
+    return;
+  }
+  if (!is_tiled()) {
+    std::copy_n(data_->values.data() + offset_of(coord), len, out);
+    return;
+  }
+  // The block row that holds coord, read from coord's phase in it: whole
+  // runs up to the end of the period, then wrap to its start.
+  const Dims& period = data_->period;
+  std::uint64_t phase = coord[last] % period[last];
+  const double* row =
+      data_->values.data() + block_offset(coord, period) - phase;
+  while (len > 0) {
+    const std::uint64_t run = std::min(len, period[last] - phase);
+    out = std::copy_n(row + phase, run, out);
+    len -= run;
+    phase = 0;
+  }
+}
+
+void Slab::copy_rows(const Slab& src, const Box& overlap) {
+  const std::uint64_t row_len = overlap.extent(overlap.dims() - 1);
+  double* dst = data_->values.data();
+  Dims coord = overlap.lb;
+  do {
+    src.read_row(coord, row_len, dst + offset_of(coord));
+  } while (next_row(coord, overlap));
+}
+
 void Slab::own() {
   if (data_ == nullptr) {
-    data_ = std::make_shared<std::vector<double>>();
+    data_ = std::make_shared<Buffer>();
+  } else if (is_tiled()) {
+    Slab dense = zeros(box_);
+    if (!box_.empty()) dense.copy_rows(*this, box_);
+    data_ = std::move(dense.data_);
   } else if (data_.use_count() > 1) {
-    data_ = std::make_shared<std::vector<double>>(*data_);
+    data_ = std::make_shared<Buffer>(*data_);
   }
 }
 
 std::vector<double>& Slab::data() {
   own();
-  return *data_;
+  return data_->values;
 }
 
 const std::vector<double>& Slab::data() const {
   static const std::vector<double> kNone;
-  return data_ != nullptr ? *data_ : kNone;
+  if (is_tiled()) {
+    throw std::logic_error(
+        "nda::Slab::data: a tiled slab holds its period block, not the "
+        "elements of its box");
+  }
+  return data_ != nullptr ? data_->values : kNone;
 }
 
 double Slab::at(const Dims& coord) const {
   if (!materialized_) return synthetic_value(seed_, coord);
-  return (*data_)[offset_of(coord)];
+  if (!is_tiled()) return data_->values[offset_of(coord)];
+  assert(box_.contains_point(coord));
+  return data_->values[block_offset(coord, data_->period)];
 }
 
 void Slab::set(const Dims& coord, double value) {
   assert(materialized_);
   own();
-  (*data_)[offset_of(coord)] = value;
+  data_->values[offset_of(coord)] = value;
 }
 
 void Slab::fill_from(const Slab& src) {
@@ -271,32 +361,18 @@ void Slab::fill_from(const Slab& src) {
     return;
   }
   own();
-  const std::size_t nd = overlap->lb.size();
-  const std::uint64_t row_len = overlap->extent(static_cast<int>(nd) - 1);
-  if (src.materialized_) {
-    Dims coord = overlap->lb;
-    do {
-      std::copy_n(src.data_->data() + src.offset_of(coord), row_len,
-                  data_->data() + offset_of(coord));
-    } while (next_row(coord, *overlap));
-    return;
-  }
-  // Synthetic source: one hash prefix per row, finished per element.
-  const std::uint64_t c0 = overlap->lb[nd - 1];
-  Dims coord = overlap->lb;
-  do {
-    const std::uint64_t prefix = row_prefix(splitmix64(src.seed_), coord);
-    double* row = data_->data() + offset_of(coord);
-    for (std::uint64_t i = 0; i < row_len; ++i) {
-      row[i] = unit_from_hash(splitmix64(prefix ^ (c0 + i)));
-    }
-  } while (next_row(coord, *overlap));
+  copy_rows(src, *overlap);
 }
 
 Slab Slab::extract(const Box& sub) const {
   assert(box_.contains(sub));
   if (!materialized_) return synthetic(sub, seed_);
-  if (sub == box_) return *this;
+  if (sub == box_ || is_tiled()) {
+    // The buffer defines every element of the sub-box too: share it.
+    Slab out = *this;
+    out.box_ = sub;
+    return out;
+  }
   // Gather rows straight into the new buffer — no zero-fill of memory that
   // is overwritten on the next line anyway.
   std::vector<double> data;
@@ -306,7 +382,7 @@ Slab Slab::extract(const Box& sub) const {
     const std::uint64_t row_len = sub.extent(static_cast<int>(nd) - 1);
     Dims coord = sub.lb;
     do {
-      const double* row = data_->data() + offset_of(coord);
+      const double* row = data_->values.data() + offset_of(coord);
       data.insert(data.end(), row, row + row_len);
     } while (next_row(coord, sub));
   }
@@ -319,24 +395,33 @@ double Slab::checksum() const {
   const std::size_t nd = box_.lb.size();
   const std::uint64_t row_len = box_.extent(static_cast<int>(nd) - 1);
   const std::uint64_t c0 = box_.lb[nd - 1];
+  std::vector<double> row(row_len);
   Dims coord = box_.lb;
   // Row-major accumulation in the exact per-element formula (coordinate
-  // hash times value), so the sum stays bit-identical across rewrites.
+  // hash times value), so the sum stays bit-identical across rewrites and
+  // across the dense, tiled and synthetic forms of one content.
   do {
     const std::uint64_t hash_prefix = row_prefix(0x9e3779b9, coord);
-    const std::uint64_t value_prefix =
-        materialized_ ? 0 : row_prefix(splitmix64(seed_), coord);
-    const double* row = materialized_ ? data_->data() + offset_of(coord)
-                                      : nullptr;
+    read_row(coord, row_len, row.data());
     for (std::uint64_t i = 0; i < row_len; ++i) {
-      const std::uint64_t c = c0 + i;
-      const double value =
-          row != nullptr ? row[i]
-                         : unit_from_hash(splitmix64(value_prefix ^ c));
-      sum += static_cast<double>(splitmix64(hash_prefix ^ c) >> 40) * value;
+      sum += static_cast<double>(splitmix64(hash_prefix ^ (c0 + i)) >> 40) *
+             row[i];
     }
   } while (next_row(coord, box_));
   return sum;
+}
+
+bool Slab::same_definition(const Slab& other) const {
+  if (!materialized_ || !other.materialized_) {
+    return !materialized_ && !other.materialized_ && seed_ == other.seed_;
+  }
+  if (!is_tiled() || !other.is_tiled()) return false;
+  if (data_ == other.data_) return true;
+  const std::vector<double>& a = data_->values;
+  const std::vector<double>& b = other.data_->values;
+  // Bitwise, not numeric, equality: +0.0 and -0.0 are two definitions.
+  return data_->period == other.data_->period &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 Slab assemble(const Box& box, const std::vector<const Slab*>& pieces,
@@ -344,8 +429,14 @@ Slab assemble(const Box& box, const std::vector<const Slab*>& pieces,
   const bool one_definition =
       !pieces.empty() &&
       std::all_of(pieces.begin(), pieces.end(), [&](const Slab* p) {
-        return !p->is_materialized() && p->seed() == pieces.front()->seed();
+        return p->same_definition(*pieces.front());
       });
+  if (one_definition && pieces.front()->is_materialized()) {
+    // One tiling: the reader's slab shares the first piece's block.
+    Slab out = *pieces.front();
+    out.box_ = box;
+    return out;
+  }
   if (one_definition || box.volume() > cap) {
     assert(!pieces.empty());
     return Slab::synthetic(box, pieces.front()->seed());

@@ -14,16 +14,21 @@
 // assembly preserve the definition, so correctness checks (sampled equality,
 // checksums) work identically in both modes.
 //
-// Content rules. Writers build materialized content by whole rows, never
-// element by element. A reader's slab is built only by assemble(): pieces
-// that all carry one synthetic definition assemble to a synthetic slab at
-// any size (its at() returns the bits a materialized copy would hold), so
-// the materialize caps bound only mixed or materialized content.
-// Materialized content lives in one shared, reference-counted buffer:
-// copying a slab or extracting its whole box shares it, and the first write
-// through set(), fill_from() or non-const data() clones it if another slab
-// still holds it. A buffer is shared only within one simulated world, whose
-// single thread is the only one that copies, writes or drops its slabs.
+// Content rules. A materialized slab holds its elements either densely
+// (row-major over its box) or as a period block: a tiled slab's element at
+// global coordinate c is block[row-major(c mod period)], so a writer whose
+// content repeats a micro-kernel's state stages that state, not its
+// expansion. A reader's slab is built only by assemble(): pieces that all
+// carry one definition (one synthetic seed, or one period with bitwise
+// equal blocks) assemble to a slab of that definition at any size (its
+// at() returns the bits a dense copy would hold), so the materialize caps
+// bound only mixed or dense content. The elements live in one shared,
+// reference-counted buffer that also carries the period: copying a slab,
+// extracting its whole box, or extracting any part of a tiled slab shares
+// it, and the first write through set(), fill_from() or non-const data()
+// makes it this slab's own dense buffer, cloned or expanded over the box.
+// A buffer is shared only within one simulated world, whose single thread
+// is the only one that copies, writes or drops its slabs.
 //
 // Rank limit. A coordinate or extent list (Dims) holds at most kMaxRank = 4
 // values inline, enough for every array in the study (at most 3-D), so a
@@ -189,6 +194,12 @@ class Slab {
   // box volume.
   static Slab materialized(Box box, std::vector<double> data);
 
+  // Real content that repeats a period block: the element at global
+  // coordinate c is block[row-major(c mod period)]. Throws
+  // std::invalid_argument unless period has the box's rank, no zero
+  // extent, and exactly as many elements as block.
+  static Slab tiled(Box box, Dims period, std::vector<double> block);
+
   // Content defined by synthetic_value(seed, global coordinate).
   static Slab synthetic(Box box, std::uint64_t seed);
 
@@ -196,7 +207,9 @@ class Slab {
   static Slab zeros(Box box);
 
   const Box& box() const { return box_; }
+  // True for dense and tiled content alike: both hold real elements.
   bool is_materialized() const { return materialized_; }
+  bool is_tiled() const { return data_ != nullptr && !data_->period.empty(); }
   std::uint64_t seed() const { return seed_; }
   std::uint64_t declared_bytes() const { return box_.volume() * kElementBytes; }
 
@@ -205,44 +218,63 @@ class Slab {
   void set(const Dims& coord, double value);  // materialized only
 
   // Copies the intersection of `src` into this slab (materialized target;
-  // synthetic or materialized source). A materialized source covering
-  // exactly this box is shared, not copied.
+  // any source). A materialized source covering exactly this box is
+  // shared, not copied; a tiled source is copied in wrap-around runs.
   void fill_from(const Slab& src);
 
   // A new slab covering `sub` (must be inside the box) with the same
-  // content. Synthetic slabs stay synthetic, and the whole box of a
-  // materialized slab shares its buffer (no copy either way).
+  // content. Synthetic and tiled slabs keep their definition, and the
+  // whole box of a dense slab shares its buffer (no copy either way).
   Slab extract(const Box& sub) const;
 
   // Order-independent content fingerprint over the slab: sum of
   // hash(coord) * value over all elements. Equal content <=> equal
-  // checksum regardless of how the region was decomposed. For synthetic
-  // slabs, computed analytically by sampling is wrong — so it walks all
-  // elements; use only on test-sized slabs.
+  // checksum regardless of how the region was decomposed or stored. For
+  // synthetic slabs, computed analytically by sampling is wrong — so it
+  // walks all elements; use only on test-sized slabs.
   double checksum() const;
 
   // Row-major elements of a materialized slab (empty for a synthetic one).
-  // The non-const overload first makes the buffer this slab's own, so a
-  // reference it returns is invalidated by copying the slab.
+  // The non-const overload first makes the buffer this slab's own and
+  // dense over its box, so a reference it returns is invalidated by
+  // copying the slab. The const overload throws std::logic_error on a
+  // tiled slab, whose buffer holds the period block, not the box.
   std::vector<double>& data();
   const std::vector<double>& data() const;
 
  private:
+  // Elements plus, for a tiled slab, the period they repeat with.
+  struct Buffer {
+    std::vector<double> values;
+    Dims period;  // empty: values is row-major over the slab's box
+  };
+
   std::uint64_t offset_of(const Dims& coord) const;
-  // Clones the buffer when another slab shares it, before a write.
+  // Writes the `len` elements of the row that starts at `coord` to `out`.
+  void read_row(const Dims& coord, std::uint64_t len, double* out) const;
+  // Copies src's rows of `overlap` into this slab's own dense buffer.
+  void copy_rows(const Slab& src, const Box& overlap);
+  // Makes the buffer this slab's own and dense before a write: clones it
+  // when another slab shares it, and expands a period block over the box.
   void own();
+  // One synthetic seed, or one period with bitwise-equal blocks.
+  bool same_definition(const Slab& other) const;
+
+  friend Slab assemble(const Box& box, const std::vector<const Slab*>& pieces,
+                       std::uint64_t cap);
 
   Box box_;
   bool materialized_ = false;
   std::uint64_t seed_ = 0;
-  std::shared_ptr<std::vector<double>> data_;  // shared between copies
+  std::shared_ptr<Buffer> data_;  // shared between copies
 };
 
 // A reader's slab over `box` from the pieces a staging library gathered;
 // callers check first that the pieces cover `box`. Pieces sharing one
-// synthetic definition give a synthetic slab at any size. Otherwise the
-// pieces are copied into a zero-filled slab of up to `cap` elements; a
-// larger box stays synthetic under the first piece's seed.
+// definition (one synthetic seed, or one period with bitwise-equal blocks)
+// give a slab of that definition at any size. Otherwise the pieces are
+// copied into a zero-filled slab of up to `cap` elements; a larger box
+// stays synthetic under the first piece's seed.
 Slab assemble(const Box& box, const std::vector<const Slab*>& pieces,
               std::uint64_t cap);
 Slab assemble(const Box& box, const std::vector<Slab>& pieces,

@@ -659,9 +659,9 @@ sim::Task<> decaf_producer(Ctx& ctx, int r) {
       co_await ctx.engine.sleep(dt);
     }
     compute_s += dt;
+    const nda::Slab slab = app.output(step);
     if (spec.gpu_resident_output && !spec.use_gpudirect) {
-      const std::uint64_t out_bytes =
-          app.output(step).box().volume() * nda::kElementBytes;
+      const std::uint64_t out_bytes = slab.box().volume() * nda::kElementBytes;
       const double copy = static_cast<double>(out_bytes) /
                           spec.machine.gpu_copy_bandwidth;
       co_await ctx.engine.sleep(copy);
@@ -670,7 +670,7 @@ sim::Task<> decaf_producer(Ctx& ctx, int r) {
     const double t0 = ctx.engine.now();
     trace::Span staging_span = trace::span("sim.staging", track);
     staging_span.arg("step", step);
-    Status st = co_await ctx.dflow->put(r, app.desc(step), app.output(step));
+    Status st = co_await ctx.dflow->put(r, app.desc(step), slab);
     staging_span.end();
     staging_s += ctx.engine.now() - t0;
     if (!st.is_ok()) {

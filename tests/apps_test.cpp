@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "apps/analysis.h"
 #include "apps/apps.h"
@@ -202,6 +203,50 @@ TEST(LammpsSim, KernelOnlyBehindMaterializedOutput) {
   EXPECT_TRUE(small.has_kernel());
 }
 
+// The reader assembly every staging library performed before pieces of one
+// tiling merged: a zero-filled slab with each piece copied in.
+nda::Slab dense_assembly(const nda::Box& box,
+                         const std::vector<nda::Slab>& pieces) {
+  nda::Slab out = nda::Slab::zeros(box);
+  for (const auto& p : pieces) out.fill_from(p);
+  return out;
+}
+
+TEST(LammpsSim, RanksDoNotMergeAndMsdMatchesTheDensePath) {
+  // Kernels are seeded per rank, so two ranks' blocks differ.
+  std::vector<LammpsSim> sims;
+  for (int rank : {0, 1}) {
+    sims.emplace_back(LammpsSim::Params{
+        .rank = rank, .nprocs = 2, .atoms_per_proc = 1000,
+        .kernel_atoms = 108});
+  }
+  std::vector<std::vector<nda::Slab>> steps(2);  // [step][rank]
+  for (auto& outputs : steps) {
+    for (auto& sim : sims) {
+      sim.advance();
+      outputs.push_back(sim.output(0));
+    }
+  }
+  const nda::Box reader({0, 0, 0}, {5, 2, 1000});
+  const nda::Slab reference = nda::assemble(reader, steps[0], 1u << 20);
+  const nda::Slab current = nda::assemble(reader, steps[1], 1u << 20);
+  EXPECT_TRUE(reference.is_materialized());
+  EXPECT_FALSE(reference.is_tiled());
+  EXPECT_FALSE(current.is_tiled());
+  EXPECT_EQ(mean_squared_displacement(reference, current),
+            mean_squared_displacement(dense_assembly(reader, steps[0]),
+                                      dense_assembly(reader, steps[1])));
+  // One rank's tiled outputs against their expansions.
+  nda::Slab reference_dense = steps[0][1];
+  nda::Slab current_dense = steps[1][1];
+  reference_dense.data();
+  current_dense.data();
+  ASSERT_FALSE(reference_dense.is_tiled());
+  const double msd = mean_squared_displacement(steps[0][1], steps[1][1]);
+  EXPECT_GT(msd, 0.0);
+  EXPECT_EQ(msd, mean_squared_displacement(reference_dense, current_dense));
+}
+
 TEST(LaplaceSim, PaperGeometry) {
   LaplaceSim sim(LaplaceSim::Params{.rank = 1, .nprocs = 64});
   EXPECT_EQ(sim.output_desc(0).global, (nda::Dims{4096, 64ull * 4096}));
@@ -247,6 +292,27 @@ TEST(LaplaceSim, KernelOnlyBehindMaterializedOutput) {
       .rank = 1, .nprocs = 4, .rows = 512, .cols_per_proc = 512});
   ASSERT_LE(small.my_box().volume(), kMaterializeCapElems);
   EXPECT_TRUE(small.has_kernel());
+}
+
+TEST(LaplaceSim, RanksAssembleToOneTiling) {
+  // Every rank runs the same Jacobi kernel, so their blocks are bitwise
+  // equal and a reader straddling two ranks keeps one tiling.
+  std::vector<nda::Slab> outputs;
+  for (int rank : {0, 1}) {
+    LaplaceSim sim(LaplaceSim::Params{
+        .rank = rank, .nprocs = 2, .rows = 21, .cols_per_proc = 13,
+        .kernel_n = 8});
+    sim.advance();
+    outputs.push_back(sim.output(0));
+    EXPECT_TRUE(outputs.back().is_tiled());
+  }
+  const nda::Box reader({0, 4}, {21, 22});
+  const nda::Slab got = nda::assemble(reader, outputs, /*cap=*/1u << 20);
+  const nda::Slab dense = dense_assembly(reader, outputs);
+  ASSERT_TRUE(got.is_tiled());
+  ASSERT_FALSE(dense.is_tiled());
+  EXPECT_EQ(got.checksum(), dense.checksum());
+  EXPECT_EQ(moment_analysis(got, 4, 2048), moment_analysis(dense, 4, 2048));
 }
 
 TEST(LaplaceSim, ComputeScalesWithProblemSize) {

@@ -563,5 +563,64 @@ TEST_F(DsFixture, AbortedPutReadsZerosWhileLaterCommitsLand) {
   EXPECT_EQ(ds->server_stats(0).puts, 3u);  // three placeholders staged
 }
 
+// Four writers stage tiled slabs over rows cut at 3, 6 and 9, the two
+// staging regions meet at column 10, and three readers get columns cut at
+// 7 and 14: no cut is a multiple of the 5 x 3 period. Every read must hold
+// exactly what the writers put; it stays tiled only when all writers'
+// blocks are bitwise equal (a merged read), else it is dense.
+void read_back_tiled(DsFixture& f, bool equal_blocks) {
+  auto ds = f.deploy(2);
+  const VarDesc var{"tiled", {12, 20}, 0};
+  const auto writer_boxes = nda::decompose_1d(var.global, 4, 0);
+  const auto reader_boxes = nda::decompose_1d(var.global, 3, 1);
+  std::vector<DsFixture::Rank> writers, readers;
+  for (int i = 0; i < 4; ++i) writers.push_back(f.make_rank(*ds, 10 + i));
+  for (int i = 0; i < 3; ++i) readers.push_back(f.make_rank(*ds, 20 + i));
+
+  Slab expect = Slab::zeros(Box::whole(var.global));
+  int puts_done = 0;
+  for (std::size_t i = 0; i < writer_boxes.size(); ++i) {
+    std::vector<double> block(15);
+    for (std::size_t k = 0; k < block.size(); ++k) {
+      block[k] = 0.5 + static_cast<double>(k + (equal_blocks ? 0 : 100 * i));
+    }
+    const Slab piece = Slab::tiled(writer_boxes[i], {5, 3}, std::move(block));
+    expect.fill_from(piece);
+    f.engine.spawn([](DsFixture::Rank& w, VarDesc var, Slab piece,
+                      int& done) -> sim::Task<> {
+      EXPECT_TRUE((co_await w.client->init()).is_ok());
+      EXPECT_TRUE((co_await w.client->put(var, piece)).is_ok());
+      ++done;
+    }(writers[i], var, piece, puts_done));
+  }
+  f.engine.spawn([](sim::Engine& e, DsFixture::Rank& w, VarDesc var,
+                    int& done) -> sim::Task<> {
+    while (done < 4) co_await e.sleep(1e-3);
+    EXPECT_TRUE((co_await w.client->publish(var)).is_ok());
+  }(f.engine, writers[0], var, puts_done));
+  for (std::size_t i = 0; i < reader_boxes.size(); ++i) {
+    f.engine.spawn([](DsFixture::Rank& r, VarDesc var, Slab expect, Box want,
+                      bool merged) -> sim::Task<> {
+      EXPECT_TRUE((co_await r.client->init()).is_ok());
+      EXPECT_TRUE((co_await r.client->wait_version(var.name, 0)).is_ok());
+      auto got = co_await r.client->get(var, want);
+      EXPECT_TRUE(got.has_value()) << got.status();
+      if (got.has_value()) {
+        EXPECT_EQ(got->is_tiled(), merged);
+        EXPECT_EQ(got->checksum(), expect.extract(want).checksum());
+      }
+    }(readers[i], var, expect, reader_boxes[i], equal_blocks));
+  }
+  f.run_all();
+}
+
+TEST_F(DsFixture, TiledWritersWithEqualBlocksReadMerged) {
+  read_back_tiled(*this, /*equal_blocks=*/true);
+}
+
+TEST_F(DsFixture, TiledWritersWithDifferentBlocksReadDense) {
+  read_back_tiled(*this, /*equal_blocks=*/false);
+}
+
 }  // namespace
 }  // namespace imc::dataspaces

@@ -260,5 +260,55 @@ TEST_F(DecafFixture, DflowAbortsOnOutOfMemory) {
             std::string::npos);
 }
 
+// Two producers stage tiled slabs over rows cut at 4, each producer's
+// slab reaches the two dataflow ranks as chunks cut at column 13, and the
+// two consumers get those columns: neither cut is a multiple of the 3 x 5
+// period. Every read must hold exactly what the producers put; it stays
+// tiled only when both blocks are bitwise equal (a merged read), else it
+// is dense.
+void read_back_tiled(DecafFixture& f, bool equal_blocks) {
+  auto w = f.make_world(2, 2, 2);
+  const Dims global = {8, 26};
+  const auto prod_boxes = nda::decompose_1d(global, 2, 0);
+  const auto con_boxes = nda::decompose_1d(global, 2, 1);
+  Slab expect = Slab::zeros(Box::whole(global));
+  for (int p = 0; p < 2; ++p) {
+    std::vector<double> block(15);
+    for (std::size_t k = 0; k < block.size(); ++k) {
+      block[k] = 0.5 + static_cast<double>(k) + (equal_blocks ? 0.0 : p);
+    }
+    const Slab piece = Slab::tiled(prod_boxes[static_cast<std::size_t>(p)],
+                                   {3, 5}, std::move(block));
+    expect.fill_from(piece);
+    f.engine.spawn([](Dataflow& flow, int p, VarDesc var, Slab piece)
+                       -> sim::Task<> {
+      EXPECT_TRUE((co_await flow.put(p, var, piece)).is_ok());
+      co_await flow.stop(p, 1);
+    }(*w.flow, p, VarDesc{"u", global, 0}, piece));
+  }
+  for (int d = 0; d < 2; ++d) f.engine.spawn(w.flow->dflow_loop(d));
+  for (int c = 0; c < 2; ++c) {
+    f.engine.spawn([](Dataflow& flow, int c, VarDesc var, Slab expect,
+                      Box want, bool merged) -> sim::Task<> {
+      auto got = co_await flow.get(c, var, want);
+      EXPECT_TRUE(got.has_value()) << got.status();
+      if (got.has_value()) {
+        EXPECT_EQ(got->is_tiled(), merged);
+        EXPECT_EQ(got->checksum(), expect.extract(want).checksum());
+      }
+    }(*w.flow, c, VarDesc{"u", global, 0}, expect,
+      con_boxes[static_cast<std::size_t>(c)], equal_blocks));
+  }
+  f.run_all();
+}
+
+TEST_F(DecafFixture, TiledProducersWithEqualBlocksReadMerged) {
+  read_back_tiled(*this, /*equal_blocks=*/true);
+}
+
+TEST_F(DecafFixture, TiledProducersWithDifferentBlocksReadDense) {
+  read_back_tiled(*this, /*equal_blocks=*/false);
+}
+
 }  // namespace
 }  // namespace imc::decaf

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <compare>
 #include <numeric>
 #include <set>
@@ -16,6 +17,10 @@ namespace {
 
 // Dims are inline, so copying a Box never allocates.
 static_assert(std::is_trivially_copyable_v<Box>);
+
+// The tiled form keeps its period in the shared buffer, not in the slab:
+// every staged piece stays as small as a dense or synthetic one.
+static_assert(sizeof(Slab) == 112);
 
 // Dims keys ordered containers (the staging-region cache), so its equality
 // and ordering must be std::vector's.
@@ -520,6 +525,247 @@ TEST(Assemble, StaysSyntheticAboveTheCap) {
 
   const std::vector<Slab> one_seed = {Slab::synthetic(box, 4)};
   EXPECT_FALSE(assemble(box, one_seed, /*cap=*/1).is_materialized());
+}
+
+// ---------------------------------------------------------------------------
+// The tiled form: element c is block[row-major(c mod period)].
+
+// Boxes whose bounds and extents are not multiples of their periods.
+struct TiledCase {
+  Box box;
+  Dims period;
+};
+const TiledCase kTiledCases[] = {
+    {Box({3, 5}, {14, 12}), {4, 3}},
+    {Box({1, 2, 7}, {6, 9, 20}), {2, 3, 5}},
+};
+
+// A block of distinct values, one per element of the period.
+std::vector<double> block_for(const Dims& period) {
+  std::uint64_t n = 1;
+  for (std::uint64_t e : period) n *= e;
+  std::vector<double> block(n);
+  for (std::uint64_t k = 0; k < n; ++k) {
+    block[k] = 0.25 + 1.5 * static_cast<double>(k);
+  }
+  return block;
+}
+
+// The definition, spelled out per element.
+double tiled_definition(const std::vector<double>& block, const Dims& period,
+                        const Dims& c) {
+  std::uint64_t off = 0;
+  for (std::size_t d = 0; d < c.size(); ++d) {
+    off = off * period[d] + c[d] % period[d];
+  }
+  return block[off];
+}
+
+// A dense slab holding the definition over `box`, built per element.
+Slab dense_definition(const Box& box, const std::vector<double>& block,
+                      const Dims& period) {
+  std::vector<double> values;
+  for_each_coord(box, [&](const Dims& c) {
+    values.push_back(tiled_definition(block, period, c));
+  });
+  return Slab::materialized(box, std::move(values));
+}
+
+TEST(TiledSlab, AtReadsTheBlockModuloThePeriod) {
+  for (const auto& c : kTiledCases) {
+    const std::vector<double> block = block_for(c.period);
+    const Slab slab = Slab::tiled(c.box, c.period, block);
+    EXPECT_TRUE(slab.is_materialized());
+    EXPECT_TRUE(slab.is_tiled());
+    EXPECT_EQ(slab.declared_bytes(), c.box.volume() * kElementBytes);
+    for_each_coord(c.box, [&](const Dims& coord) {
+      ASSERT_EQ(slab.at(coord), tiled_definition(block, c.period, coord))
+          << ::testing::PrintToString(coord);
+    });
+  }
+}
+
+TEST(TiledSlab, ExtractOfASubBoxStaysTiled) {
+  for (const auto& c : kTiledCases) {
+    const std::vector<double> block = block_for(c.period);
+    const Slab slab = Slab::tiled(c.box, c.period, block);
+    Box sub = c.box;
+    for (std::size_t d = 0; d < sub.lb.size(); ++d) {
+      sub.lb[d] += 1;
+      sub.ub[d] -= 2;
+    }
+    const Slab piece = slab.extract(sub);
+    EXPECT_TRUE(piece.is_tiled());
+    EXPECT_EQ(piece.box(), sub);
+    for_each_coord(sub, [&](const Dims& coord) {
+      ASSERT_EQ(piece.at(coord), tiled_definition(block, c.period, coord))
+          << ::testing::PrintToString(coord);
+    });
+  }
+}
+
+TEST(TiledSlab, FillFromIntoZerosEqualsTheDefinition) {
+  for (const auto& c : kTiledCases) {
+    const std::vector<double> block = block_for(c.period);
+    const Slab slab = Slab::tiled(c.box, c.period, block);
+    // Starts below the slab and ends inside it: a partial overlap.
+    Box dst_box = c.box;
+    for (std::size_t d = 0; d < dst_box.lb.size(); ++d) {
+      dst_box.lb[d] /= 2;
+      dst_box.ub[d] -= 1;
+    }
+    Slab dst = Slab::zeros(dst_box);
+    dst.fill_from(slab);
+    EXPECT_FALSE(dst.is_tiled());
+    for_each_coord(dst_box, [&](const Dims& coord) {
+      const double want = c.box.contains_point(coord)
+                              ? tiled_definition(block, c.period, coord)
+                              : 0.0;
+      ASSERT_EQ(dst.at(coord), want) << ::testing::PrintToString(coord);
+    });
+  }
+}
+
+TEST(TiledSlab, ChecksumEqualsTheExpandedSlabs) {
+  for (const auto& c : kTiledCases) {
+    const std::vector<double> block = block_for(c.period);
+    const Slab slab = Slab::tiled(c.box, c.period, block);
+    Slab expanded = slab;
+    expanded.data();
+    ASSERT_FALSE(expanded.is_tiled());
+    EXPECT_EQ(slab.checksum(), expanded.checksum());
+    EXPECT_EQ(slab.checksum(),
+              dense_definition(c.box, block, c.period).checksum());
+  }
+}
+
+TEST(TiledSlab, WritesExpandTheCopyAndLeaveTheOriginalTiled) {
+  // Both write the element at the box's lower corner, which is first in
+  // row-major order.
+  void (*const writes[])(Slab&) = {
+      [](Slab& s) { s.set(s.box().lb, -7.0); },
+      [](Slab& s) { s.data().front() = -7.0; },
+  };
+  for (const auto& c : kTiledCases) {
+    const std::vector<double> block = block_for(c.period);
+    const Slab original = Slab::tiled(c.box, c.period, block);
+    const double sum = original.checksum();
+    for (auto write : writes) {
+      Slab copy = original;
+      write(copy);
+      EXPECT_TRUE(copy.is_materialized());
+      EXPECT_FALSE(copy.is_tiled());
+      EXPECT_EQ(std::as_const(copy).data().size(), c.box.volume());
+      for_each_coord(c.box, [&](const Dims& coord) {
+        const double want = coord == c.box.lb
+                                ? -7.0
+                                : tiled_definition(block, c.period, coord);
+        ASSERT_EQ(copy.at(coord), want) << ::testing::PrintToString(coord);
+      });
+      EXPECT_TRUE(original.is_tiled());
+      EXPECT_EQ(original.checksum(), sum);
+      expect_same_content(original, dense_definition(c.box, block, c.period));
+    }
+  }
+}
+
+TEST(TiledSlab, ConstDataThrows) {
+  const Slab slab =
+      Slab::tiled(Box({0, 0}, {6, 6}), {2, 3}, block_for({2, 3}));
+  EXPECT_THROW(slab.data(), std::logic_error);
+}
+
+TEST(TiledSlab, RejectsBadInputs) {
+  const Box box({0, 0}, {6, 6});
+  // A period whose rank differs from the box.
+  EXPECT_THROW(Slab::tiled(box, {6}, block_for({6})), std::invalid_argument);
+  // A zero period extent.
+  EXPECT_THROW(Slab::tiled(box, {2, 0}, {}), std::invalid_argument);
+  // A block that is not exactly one period.
+  EXPECT_THROW(Slab::tiled(box, {2, 3}, block_for({7})),
+               std::invalid_argument);
+  // One whose period product would wrap to the block size.
+  EXPECT_THROW(Slab::tiled(box, {1ull << 32, 1ull << 32}, {}),
+               std::invalid_argument);
+}
+
+// Two writers' outputs of one period, each block its own allocation, and
+// the reader boxes that straddle them.
+struct TiledWriters {
+  std::vector<Slab> writers;
+  std::vector<Box> readers;
+};
+TiledWriters tiled_writers(std::vector<double> left_block,
+                           std::vector<double> right_block) {
+  const Dims global = {11, 23};
+  const Dims period = {4, 3};
+  const auto boxes = decompose_1d(global, 2, 1);
+  return {{Slab::tiled(boxes[0], period, std::move(left_block)),
+           Slab::tiled(boxes[1], period, std::move(right_block))},
+          decompose_1d(global, 3, 1)};
+}
+
+// Each reader's pieces, cut from the writers as a staging library does.
+std::vector<Slab> pieces_for(const TiledWriters& w, const Box& reader) {
+  std::vector<Slab> pieces;
+  for (const auto& slab : w.writers) {
+    if (auto overlap = intersect(slab.box(), reader)) {
+      pieces.push_back(slab.extract(*overlap));
+    }
+  }
+  return pieces;
+}
+
+TEST(Assemble, BitwiseEqualBlocksStayTiled) {
+  const TiledWriters w = tiled_writers(block_for({4, 3}), block_for({4, 3}));
+  for (const auto& rb : w.readers) {
+    const std::vector<Slab> pieces = pieces_for(w, rb);
+    // At any size: a cap of one element does not expand the tiling.
+    for (std::uint64_t cap : {std::uint64_t{1} << 20, std::uint64_t{1}}) {
+      const Slab got = assemble(rb, pieces, cap);
+      EXPECT_TRUE(got.is_tiled()) << rb.to_string();
+      expect_same_content(got, zero_fill_assembly(rb, pieces));
+    }
+  }
+}
+
+TEST(Assemble, DifferingBlocksAssembleDense) {
+  std::vector<double> differ = block_for({4, 3});
+  differ[5] += 1.0;
+  std::vector<double> positive = block_for({4, 3});
+  std::vector<double> negative = positive;
+  positive[7] = 0.0;
+  negative[7] = -0.0;  // numerically equal, bitwise not
+  for (const auto& [left, right] :
+       {std::pair{block_for({4, 3}), differ}, std::pair{positive, negative}}) {
+    const TiledWriters w = tiled_writers(left, right);
+    for (const auto& rb : w.readers) {
+      const std::vector<Slab> pieces = pieces_for(w, rb);
+      const Slab got = assemble(rb, pieces, /*cap=*/1u << 20);
+      // Only a reader inside one writer's box keeps that writer's tiling.
+      EXPECT_EQ(got.is_tiled(), pieces.size() == 1) << rb.to_string();
+      const Slab want = zero_fill_assembly(rb, pieces);
+      expect_same_content(got, want);
+      for_each_coord(rb, [&](const Dims& c) {
+        ASSERT_EQ(std::signbit(got.at(c)), std::signbit(want.at(c)))
+            << ::testing::PrintToString(c);
+      });
+    }
+  }
+}
+
+TEST(Assemble, DifferingPeriodsAssembleDense) {
+  const Box left({0, 0}, {6, 6});
+  const Box right({0, 6}, {6, 12});
+  const std::vector<Slab> pieces = {
+      Slab::tiled(left, {2, 3}, block_for({2, 3})),
+      Slab::tiled(right, {3, 2}, block_for({3, 2})),
+  };
+  const Box box({0, 0}, {6, 12});
+  const Slab got = assemble(box, pieces, /*cap=*/1u << 20);
+  EXPECT_TRUE(got.is_materialized());
+  EXPECT_FALSE(got.is_tiled());
+  expect_same_content(got, zero_fill_assembly(box, pieces));
 }
 
 }  // namespace
