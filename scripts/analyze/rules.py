@@ -671,6 +671,70 @@ def rule_co_await_under_lock(ctx):
 
 
 # ---------------------------------------------------------------------------
+# co-await-in-conditional — GCC 12 miscompiles `c ? co_await a() : b()`
+# ---------------------------------------------------------------------------
+
+_OPENERS = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
+
+
+def _operand_end(toks, start, stops):
+    """Index of the token ending the `?:` operand that starts at `start`:
+    the first depth-0 `:` no nested `?` claims, a depth-0 token in
+    `stops`, or a closer of an enclosing bracket."""
+    depth = nested = 0
+    for j in range(start, len(toks)):
+        t = toks[j].text
+        depth += _OPENERS.get(t, 0)
+        if depth < 0 or (depth == 0 and t in stops):
+            return j
+        if depth == 0 and t == "?":
+            nested += 1
+        elif depth == 0 and t == ":":
+            if nested == 0:
+                return j
+            nested -= 1
+    return len(toks)
+
+
+def _conditional_operands(toks, q):
+    """Token ranges (start, end) of the second and third operands of the
+    `?` at index q, or None when no `:` completes it."""
+    colon = _operand_end(toks, q + 1, (";",))
+    if colon >= len(toks) or toks[colon].text != ":":
+        return None
+    end = _operand_end(toks, colon + 1, (";", ","))
+    return (q + 1, colon - 1), (colon + 1, end - 1)
+
+
+def rule_co_await_in_conditional(ctx):
+    toks = ctx.stream.tokens
+    findings = []
+    reported = set()  # a co_await inside nested conditionals flags once
+    for i, tok in enumerate(toks):
+        if tok.kind != PUNCT or tok.text != "?" or tok.preproc:
+            continue
+        operands = _conditional_operands(toks, i)
+        if operands is None:
+            continue
+        for start, end in operands:
+            hit = next((k for k in range(start, end + 1)
+                        if toks[k].kind == ID and toks[k].text == "co_await"
+                        and k not in reported), None)
+            if hit is not None:
+                reported.add(hit)
+                findings.append(Finding(
+                    "co-await-in-conditional", ctx.path, toks[hit].line,
+                    "co_await in an operand of the conditional operator: "
+                    "GCC 12.2 compiles `s = c ? co_await a() : b();` into "
+                    "a binary that corrupts the coroutine frame at run time "
+                    "(free(): invalid pointer)",
+                    "branch with if/else and await in the branch: "
+                    "`if (c) { s = co_await a(); } else { s = b(); }`"))
+                break
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # detached-coroutine-lifetime — frames must not outlive captured state
 # ---------------------------------------------------------------------------
 
@@ -834,6 +898,9 @@ RULES = {
     "co-await-under-lock": (
         rule_co_await_under_lock, _everywhere,
         "suspension points while holding a mutex guard"),
+    "co-await-in-conditional": (
+        rule_co_await_in_conditional, _everywhere,
+        "co_await inside a ?: operand (GCC 12 miscompiles it)"),
     "detached-coroutine-lifetime": (
         rule_detached_coroutine, _everywhere,
         "coroutine frames outliving captured state"),

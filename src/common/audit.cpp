@@ -28,28 +28,37 @@ std::string_view to_string(Resource r) {
   return "unknown";
 }
 
+Auditor::Entry* Auditor::lookup(int idx, const std::string& owner,
+                                bool create) {
+  const auto address = reinterpret_cast<std::uintptr_t>(&owner);
+  Entry** cached = by_address_[idx].find(address);
+  if (cached != nullptr && (*cached)->first == owner) return *cached;
+  Ledger& ledger = ledger_[idx];
+  auto it = create ? ledger.try_emplace(owner, 0).first : ledger.find(owner);
+  if (it == ledger.end()) return nullptr;
+  by_address_[idx][address] = &*it;
+  return &*it;
+}
+
 void Auditor::acquire(Resource r, const std::string& owner, std::uint64_t n) {
   if (n == 0) return;
   const int idx = static_cast<int>(r);
-  ledger_[idx][owner] += n;
+  lookup(idx, owner, /*create=*/true)->second += n;
   totals_[idx] += n;
 }
 
 void Auditor::release(Resource r, const std::string& owner, std::uint64_t n) {
   if (n == 0) return;
   const int idx = static_cast<int>(r);
-  auto& ledger = ledger_[idx];
-  auto it = ledger.find(owner);
-  if (it == ledger.end()) {
-    // Releases that outlive a reset() (e.g. a test fixture tearing down
-    // after a nested workflow::run) are clamped rather than reported: leak
-    // detection only needs the outstanding side of the ledger.
-    return;
-  }
-  const std::uint64_t take = n < it->second ? n : it->second;
-  it->second -= take;
+  // Releases that outlive a reset() (e.g. a test fixture tearing down after
+  // a nested workflow::run) find no entry or a zero count and are clamped
+  // rather than reported: leak detection only needs the outstanding side
+  // of the ledger.
+  Entry* e = lookup(idx, owner, /*create=*/false);
+  if (e == nullptr) return;
+  const std::uint64_t take = n < e->second ? n : e->second;
+  e->second -= take;
   totals_[idx] -= take;
-  if (it->second == 0) ledger.erase(it);
 }
 
 void Auditor::violation(const std::string& what) {
@@ -70,8 +79,10 @@ bool Auditor::clean() const {
 std::vector<std::string> Auditor::leaks() const {
   std::vector<std::string> out;
   for (int idx = 0; idx < kResourceCount; ++idx) {
-    std::vector<std::pair<std::string_view, std::uint64_t>> owners(
-        ledger_[idx].begin(), ledger_[idx].end());
+    std::vector<std::pair<std::string_view, std::uint64_t>> owners;
+    for (const auto& [owner, count] : ledger_[idx]) {
+      if (count != 0) owners.emplace_back(owner, count);
+    }
     std::sort(owners.begin(), owners.end());
     for (const auto& [owner, count] : owners) {
       std::ostringstream line;
@@ -86,6 +97,7 @@ std::vector<std::string> Auditor::leaks() const {
 
 void Auditor::reset() {
   for (auto& ledger : ledger_) ledger.clear();
+  for (auto& index : by_address_) index.clear();
   for (auto& total : totals_) total = 0;
   violations_.clear();
 }

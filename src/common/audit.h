@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/flat_map.h"
 
 namespace imc::audit {
 
@@ -49,7 +50,7 @@ class Auditor {
   std::uint64_t outstanding(Resource r) const;
   // Formatted "resource: N outstanding (owner tag)" lines, by resource and
   // then by owner, plus any recorded violations; empty means the scenario
-  // tore down cleanly.
+  // tore down cleanly. Owners whose count is back to zero are skipped.
   std::vector<std::string> leaks() const;
   const std::vector<std::string>& violations() const { return violations_; }
   bool clean() const;
@@ -57,8 +58,22 @@ class Auditor {
 
  private:
   // owner -> outstanding count, per resource class. Hashed: leaks() sorts
-  // the owners, so the report never depends on bucket order.
-  std::unordered_map<std::string, std::uint64_t> ledger_[kResourceCount];
+  // the owners, so the report never depends on bucket order. Entries are
+  // never erased (only reset() drops them) and a rehash moves no element,
+  // so their addresses are stable.
+  using Ledger = std::unordered_map<std::string, std::uint64_t>;
+  using Entry = Ledger::value_type;
+
+  // Ledger entry of `owner`, or null when absent and !create. The hot
+  // owners (ProcessMemory, RdmaPool) pass the same long-lived std::string
+  // on every call, so a per-resource index from the string object's
+  // address to its entry skips hashing the text. A hit is trusted only
+  // after the entry's own key compares equal to `owner`: the address may
+  // since hold another string (a temporary reusing a stack slot).
+  Entry* lookup(int idx, const std::string& owner, bool create);
+
+  Ledger ledger_[kResourceCount];
+  FlatMap<Entry*> by_address_[kResourceCount];
   std::uint64_t totals_[kResourceCount] = {};
   std::vector<std::string> violations_;
 };

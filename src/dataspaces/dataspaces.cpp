@@ -179,7 +179,15 @@ Status DataSpaces::try_stage(Server& server, const PutPrep& req) {
   auto [vit, fresh_version] = versions.try_emplace(req.var.version);
   (void)fresh_version;
   vit->second.desc = req.var;
-  if (index_uses_cube(req.var.global)) {
+  const bool per_object_index = !index_uses_cube(req.var.global);
+  std::uint64_t entries = 0;
+  if (per_object_index) {
+    entries = index_bytes_for_object(req.box.volume());
+    if (Status st = server.memory->allocate(mem::Tag::kIndex, entries);
+        !st.is_ok()) {
+      return st;
+    }
+  } else {
     auto [iit, fresh_var] = server.index_charged.try_emplace(req.var.name, 0);
     if (fresh_var) {
       const std::uint64_t table =
@@ -192,19 +200,17 @@ Status DataSpaces::try_stage(Server& server, const PutPrep& req) {
       iit->second = table;
       server.stats.index_bytes += table;
     }
-  } else {
-    const std::uint64_t entries = index_bytes_for_object(req.box.volume());
-    if (Status st = server.memory->allocate(mem::Tag::kIndex, entries);
-        !st.is_ok()) {
-      return st;
-    }
-    vit->second.index_bytes += entries;
-    server.stats.index_bytes += entries;
   }
+  // A failed attempt gives its per-object entries back, so a put retried
+  // under wait_retry_registration stays charged once.
+  const auto unwind_index = [&] {
+    if (per_object_index) server.memory->free(mem::Tag::kIndex, entries);
+  };
 
   // Reserve staging memory for the incoming object.
   if (Status st = server.memory->allocate(mem::Tag::kStaging, req.bytes);
       !st.is_ok()) {
+    unwind_index();
     return st;
   }
   // Pin it for one-sided RDMA; stays pinned while staged (§III-B1).
@@ -214,10 +220,13 @@ Status DataSpaces::try_stage(Server& server, const PutPrep& req) {
             req.bytes, server.memory->name());
         !st.is_ok()) {
       server.memory->free(mem::Tag::kStaging, req.bytes);
+      unwind_index();
       return st;
     }
     registered = req.bytes;
   }
+  vit->second.index_bytes += entries;
+  server.stats.index_bytes += entries;
   // Record a placeholder; the content arrives with PutCommit.
   vit->second.objects.push_back(
       StagedObject{req.box, nda::Slab(), req.bytes, registered, req.region});
@@ -452,7 +461,9 @@ sim::Task<> DataSpaces::run_get(Server& server, GetReq req) {
   if (entry != nullptr) {
     // Spatial-index lookup; hits come back in staging order, matching the
     // linear scan this replaces.
-    for (const auto& [obj_idx, overlap] : entry->index.query(req.box)) {
+    const auto hits = entry->index.query(req.box);
+    pieces.reserve(hits.size());
+    for (const auto& [obj_idx, overlap] : hits) {
       const auto& object = entry->objects[static_cast<std::size_t>(obj_idx)];
       if (object.slab.box().volume() > 0) {
         pieces.push_back(object.slab.extract(overlap));
@@ -785,7 +796,7 @@ sim::Task<Status> DataSpaces::Client::put(const nda::VarDesc& var,
       Server& server = *ds_->servers_[static_cast<std::size_t>(s)];
 
       // Descriptor request/grant round trip.
-      sim::Queue<Status> reply(*ds_->engine_);
+      sim::Reply<Status> reply(*ds_->engine_);
       co_await ds_->transport_->transfer(
           self_, server.endpoint, kCtrlBytes,
           {.src_pinned = true, .dst_pinned = true});
@@ -849,11 +860,13 @@ sim::Task<Result<nda::Slab>> DataSpaces::Client::get(const nda::VarDesc& var,
   if (!initialized_) {
     co_return make_error(ErrorCode::kFailedPrecondition, "client not init'd");
   }
-  std::vector<nda::Slab> pieces;
   const RegionSet& regions = ds_->regions_of(var);
   trace::Span span =
       trace::span("ds.get", trace::Track{self_.node->id(), self_.pid});
-  for (const auto& [region_idx, overlap] : regions.index.query(box)) {
+  const auto hits = regions.index.query(box);
+  std::vector<nda::Slab> pieces;
+  pieces.reserve(hits.size());
+  for (const auto& [region_idx, overlap] : hits) {
     const int ns = ds_->num_servers();
     const int factor = ds_->factor_;
     // Failover probe: walk the region's replica chain until a live member
@@ -866,7 +879,7 @@ sim::Task<Result<nda::Slab>> DataSpaces::Client::get(const nda::VarDesc& var,
       const int s = ds_->replica_of(region_idx, k);
       Server& server = *ds_->servers_[static_cast<std::size_t>(s)];
 
-      sim::Queue<Result<std::vector<nda::Slab>>> reply(*ds_->engine_);
+      sim::Reply<Result<std::vector<nda::Slab>>> reply(*ds_->engine_);
       co_await ds_->transport_->transfer(
           self_, server.endpoint, kCtrlBytes,
           {.src_pinned = true, .dst_pinned = true});
@@ -990,7 +1003,7 @@ sim::Task<Status> DataSpaces::Client::wait_version(const std::string& var,
   Status last = Status::ok();
   for (int s = 0; s < ds_->board_span_; ++s) {
     Server& member = *ds_->servers_[static_cast<std::size_t>(s)];
-    sim::Queue<Status> reply(*ds_->engine_);
+    sim::Reply<Status> reply(*ds_->engine_);
     co_await ds_->transport_->transfer(
         self_, member.endpoint, kCtrlBytes,
         {.src_pinned = true, .dst_pinned = true});

@@ -178,12 +178,13 @@ class DataSpaces {
     nda::VarDesc desc;
   };
 
-  // Server -> client protocol.
+  // Server -> client protocol. Single-answer requests reply through a
+  // one-slot sim::Reply; a publish collects one ack per server on a Queue.
   struct PutPrep {
     nda::VarDesc var;
     nda::Box box;
     std::uint64_t bytes;
-    sim::Queue<Status>* reply;
+    sim::Reply<Status>* reply;
     int region = 0;
   };
   struct PutCommit {
@@ -194,7 +195,7 @@ class DataSpaces {
     nda::VarDesc var;
     nda::Box box;
     net::Endpoint client;
-    sim::Queue<Result<std::vector<nda::Slab>>>* reply;
+    sim::Reply<Result<std::vector<nda::Slab>>>* reply;
   };
   struct Publish {
     std::string var;
@@ -204,7 +205,7 @@ class DataSpaces {
   struct WaitVersion {
     std::string var;
     int version;
-    sim::Queue<Status>* reply;
+    sim::Reply<Status>* reply;
   };
   struct Shutdown {};
   using Request = std::variant<PutPrep, PutCommit, GetReq, Publish,

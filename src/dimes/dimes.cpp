@@ -258,7 +258,7 @@ sim::Task<> Dimes::async_put_meta(int src_id, nda::VarDesc var, nda::Box box,
         !st.is_ok()) {
       continue;
     }
-    sim::Queue<Status> reply(*engine_);
+    sim::Reply<Status> reply(*engine_);
     md.queue->push(PutMeta{var, box, owner_pid, &reply});
     Status st = co_await reply.pop();
     if (st.is_ok()) {
@@ -611,7 +611,7 @@ sim::Task<Status> Dimes::Client::put_meta_once(Server& md,
       !st.is_ok()) {
     co_return st;
   }
-  sim::Queue<Status> reply(*dimes_->engine_);
+  sim::Reply<Status> reply(*dimes_->engine_);
   md.queue->push(PutMeta{var, box, self_.pid, &reply});
   co_return co_await reply.pop();
 }
@@ -625,7 +625,7 @@ sim::Task<Status> Dimes::Client::query_meta_once(
       !st.is_ok()) {
     co_return st;
   }
-  sim::Queue<Result<std::vector<ObjectDesc>>> reply(*dimes_->engine_);
+  sim::Reply<Result<std::vector<ObjectDesc>>> reply(*dimes_->engine_);
   md.queue->push(QueryMeta{var, box, &reply});
   Result<std::vector<ObjectDesc>> hits = co_await reply.pop();
   if (!hits.has_value()) co_return hits.status();
@@ -701,6 +701,7 @@ sim::Task<Result<nda::Slab>> Dimes::Client::get(const nda::VarDesc& var,
 
   // Pull each intersecting piece directly from its owner's memory.
   std::vector<nda::Slab> pieces;
+  pieces.reserve(descriptors.size());
   std::uint64_t covered = 0;
   for (const auto& desc : descriptors) {
     auto overlap = nda::intersect(desc.box, box);
@@ -807,7 +808,7 @@ sim::Task<Status> Dimes::Client::wait_version(const std::string& var,
   Status last = Status::ok();
   for (int s = 0; s < dimes_->board_span_; ++s) {
     Server& member = *dimes_->servers_[static_cast<std::size_t>(s)];
-    sim::Queue<Status> reply(*dimes_->engine_);
+    sim::Reply<Status> reply(*dimes_->engine_);
     co_await dimes_->transport_->transfer(
         self_, member.endpoint, kCtrlBytes,
         {.src_pinned = true, .dst_pinned = true});

@@ -153,12 +153,12 @@ class Dimes {
     nda::VarDesc var;
     nda::Box box;
     int owner_pid;
-    sim::Queue<Status>* reply;
+    sim::Reply<Status>* reply;
   };
   struct QueryMeta {
     nda::VarDesc var;
     nda::Box box;
-    sim::Queue<Result<std::vector<ObjectDesc>>>* reply;
+    sim::Reply<Result<std::vector<ObjectDesc>>>* reply;
   };
   struct Publish {
     std::string var;
@@ -168,7 +168,7 @@ class Dimes {
   struct WaitVersion {
     std::string var;
     int version;
-    sim::Queue<Status>* reply;
+    sim::Reply<Status>* reply;
   };
   struct Shutdown {};
   using Request =

@@ -1,10 +1,6 @@
 #include "ndarray/index.h"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
-
-#include "common/hilbert.h"
 
 namespace imc::nda {
 
@@ -12,6 +8,11 @@ namespace {
 
 // Below this many entries a brute scan beats grid bookkeeping.
 constexpr std::size_t kBruteThreshold = 16;
+
+// A rank-nd grid has at most 2^min(kMaxCellBits, 64 / nd) cells per
+// dimension, so the row-major key of any cell fits 64 bits.
+constexpr int kMaxCellBits = 16;
+static_assert(kMaxCellBits * Dims::kMaxRank <= 64);
 
 }  // namespace
 
@@ -34,66 +35,77 @@ void BoxIndex::insert(int id, const Box& box) {
     stale_ = true;
     return;
   }
-  const int entry = static_cast<int>(entries_.size() - 1);
-  if (box.empty() || box.dims() != bounds_.dims()) {
-    coarse_.push_back(entry);
-    return;
-  }
-  if (cell_bits_ == 0 || !bounds_.contains(box)) {
+  if (!box.empty() && box.dims() == bounds_.dims() &&
+      (!grid_ || !bounds_.contains(box))) {
     stale_ = true;  // grid-less or outside the built bounds: re-tile
     return;
   }
-  std::vector<std::uint32_t> lo, hi;
-  const std::uint64_t cells = cell_range(box, lo, hi);
-  if (cells == 0 || cells > kCoarseCellLimit) {
-    coarse_.push_back(entry);
-    return;
-  }
-  std::vector<std::uint32_t> cursor = lo;
-  std::vector<std::uint32_t> scratch;
-  for (;;) {
-    scratch = cursor;
-    buckets_[hilbert_distance(scratch, cell_bits_)].push_back(entry);
-    std::size_t d = cursor.size();
-    bool done = true;
-    while (d-- > 0) {
-      if (++cursor[d] <= hi[d]) {
-        done = false;
-        break;
-      }
-      cursor[d] = lo[d];
-    }
-    if (done) break;
-  }
+  file(static_cast<int>(entries_.size() - 1));
 }
 
-std::uint64_t BoxIndex::cell_of(std::uint64_t p, std::size_t d) const {
-  return (p - bounds_.lb[d]) / cell_size_[d];
-}
-
-std::uint64_t BoxIndex::cell_range(const Box& box,
-                                   std::vector<std::uint32_t>& lo,
-                                   std::vector<std::uint32_t>& hi) const {
+std::uint64_t BoxIndex::cell_range(const Box& box, Cells& lo,
+                                   Cells& hi) const {
   auto clipped = intersect(box, bounds_);
   if (!clipped) return 0;
-  const std::size_t nd = clipped->lb.size();
-  lo.resize(nd);
-  hi.resize(nd);
   std::uint64_t cells = 1;
-  for (std::size_t d = 0; d < nd; ++d) {
-    lo[d] = static_cast<std::uint32_t>(cell_of(clipped->lb[d], d));
-    hi[d] = static_cast<std::uint32_t>(cell_of(clipped->ub[d] - 1, d));
+  for (std::size_t d = 0; d < clipped->lb.size(); ++d) {
+    lo[d] = static_cast<std::uint32_t>((clipped->lb[d] - bounds_.lb[d]) /
+                                       cell_size_[d]);
+    hi[d] = static_cast<std::uint32_t>((clipped->ub[d] - 1 - bounds_.lb[d]) /
+                                       cell_size_[d]);
     cells *= hi[d] - lo[d] + 1;
   }
   return cells;
 }
 
+template <typename Visit>
+void BoxIndex::for_each_cell(const Cells& lo, const Cells& hi,
+                             Visit&& visit) const {
+  // Last dimension fastest; the key follows the cursor incrementally.
+  const std::size_t nd = stride_.size();
+  Cells cursor = lo;
+  std::uint64_t key = 0;
+  for (std::size_t d = 0; d < nd; ++d) key += lo[d] * stride_[d];
+  for (;;) {
+    visit(key);
+    std::size_t d = nd;
+    for (;;) {
+      if (d-- == 0) return;
+      if (cursor[d] < hi[d]) {
+        ++cursor[d];
+        key += stride_[d];
+        break;
+      }
+      key -= std::uint64_t{hi[d] - lo[d]} * stride_[d];
+      cursor[d] = lo[d];
+    }
+  }
+}
+
+void BoxIndex::file(int entry) const {
+  const Box& box = entries_[static_cast<std::size_t>(entry)].box;
+  Cells lo, hi;
+  const std::uint64_t cells = box.empty() || box.dims() != bounds_.dims()
+                                  ? 0
+                                  : cell_range(box, lo, hi);
+  if (cells == 0 || cells > kCoarseCellLimit) {
+    coarse_.push_back(entry);
+    return;
+  }
+  for_each_cell(lo, hi, [&](std::uint64_t key) {
+    Chain& chain = cells_[key];
+    links_.push_back(Link{entry, chain.head});
+    chain.head = static_cast<int>(links_.size()) - 1;
+  });
+}
+
 void BoxIndex::rebuild() const {
-  buckets_.clear();
   coarse_.clear();
+  links_.clear();
   bounds_ = Box();
-  cell_size_.clear();
-  cell_bits_ = 0;
+  cell_size_ = Dims();
+  stride_ = Dims();
+  grid_ = false;
   built_count_ = entries_.size();
   stale_ = false;
   if (entries_.size() < kBruteThreshold) return;  // brute path; no grid
@@ -124,57 +136,32 @@ void BoxIndex::rebuild() const {
     return;
   }
   const std::size_t nd = static_cast<std::size_t>(grid_dims);
-  const int max_bits = std::min<int>(16, 64 / static_cast<int>(nd));
-  if (max_bits < 1) {
-    bounds_ = Box();
-    return;
-  }
+  const int max_bits = std::min<int>(kMaxCellBits, 64 / grid_dims);
 
   // Cell size per dimension tracks the average entry extent, so a typical
   // box lands in O(1) cells and a typical query visits O(results) cells.
   cell_size_.resize(nd);
-  int need_bits = 1;
+  stride_.resize(nd);
+  Dims counts(nd);
   for (std::size_t d = 0; d < nd; ++d) {
     const std::uint64_t extent = bounds_.extent(static_cast<int>(d));
     const std::uint64_t avg = std::max<std::uint64_t>(
         1, extent_sum[d] / static_cast<std::uint64_t>(candidates));
-    std::uint64_t cells = std::clamp<std::uint64_t>(
+    const std::uint64_t cells = std::clamp<std::uint64_t>(
         extent / avg, 1, std::uint64_t{1} << max_bits);
     cell_size_[d] = std::max<std::uint64_t>(1, (extent + cells - 1) / cells);
-    const std::uint64_t actual = (extent - 1) / cell_size_[d] + 1;
-    need_bits = std::max(
-        need_bits, static_cast<int>(std::bit_width(actual - 1)));
+    counts[d] = (extent - 1) / cell_size_[d] + 1;
   }
-  cell_bits_ = std::max(1, std::min(need_bits, max_bits));
-
-  std::vector<std::uint32_t> lo, hi, cursor, scratch;
+  stride_[nd - 1] = 1;
+  for (std::size_t d = nd - 1; d > 0; --d) {
+    stride_[d - 1] = stride_[d] * counts[d];
+  }
+  grid_ = true;
+  // cells_ is read only under a grid, so it is emptied here. A typical box
+  // covers a cell or two: sizing for that makes rehashing rare.
+  cells_.clear(candidates);
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const Box& box = entries_[i].box;
-    if (box.empty() || box.dims() != grid_dims) {
-      coarse_.push_back(static_cast<int>(i));
-      continue;
-    }
-    const std::uint64_t cells = cell_range(box, lo, hi);
-    if (cells == 0 || cells > kCoarseCellLimit) {
-      coarse_.push_back(static_cast<int>(i));
-      continue;
-    }
-    cursor = lo;
-    for (;;) {
-      scratch = cursor;
-      buckets_[hilbert_distance(scratch, cell_bits_)].push_back(
-          static_cast<int>(i));
-      std::size_t d = cursor.size();
-      bool done = true;
-      while (d-- > 0) {
-        if (++cursor[d] <= hi[d]) {
-          done = false;
-          break;
-        }
-        cursor[d] = lo[d];
-      }
-      if (done) break;
-    }
+    file(static_cast<int>(i));
   }
 }
 
@@ -191,41 +178,29 @@ std::vector<std::pair<int, Box>> BoxIndex::query(const Box& target) const {
   std::vector<std::pair<int, Box>> out;
   if (entries_.empty()) return out;
   if (stale_) rebuild();
-  if (cell_bits_ == 0 || target.empty() || target.dims() != bounds_.dims()) {
+  if (!grid_ || target.empty() || target.dims() != bounds_.dims()) {
     brute_query(target, out);
     return out;
   }
 
-  std::vector<std::uint32_t> lo, hi;
+  Cells lo, hi;
   const std::uint64_t cells = cell_range(target, lo, hi);
-  std::vector<int> candidates;
   if (cells > kQueryCellLimit) {
     // Huge query (e.g. target containing the whole universe): visiting every
     // cell would cost more than the scan the index exists to avoid.
     brute_query(target, out);
     return out;
   }
+  std::vector<int>& candidates = candidates_;
+  candidates.clear();
   if (cells > 0) {
-    std::vector<std::uint32_t> cursor = lo;
-    std::vector<std::uint32_t> scratch;
-    for (;;) {
-      scratch = cursor;
-      auto it = buckets_.find(hilbert_distance(scratch, cell_bits_));
-      if (it != buckets_.end()) {
-        candidates.insert(candidates.end(), it->second.begin(),
-                          it->second.end());
+    for_each_cell(lo, hi, [&](std::uint64_t key) {
+      const Chain* chain = cells_.find(key);
+      for (int l = chain != nullptr ? chain->head : -1; l >= 0;
+           l = links_[static_cast<std::size_t>(l)].next) {
+        candidates.push_back(links_[static_cast<std::size_t>(l)].entry);
       }
-      std::size_t d = cursor.size();
-      bool done = true;
-      while (d-- > 0) {
-        if (++cursor[d] <= hi[d]) {
-          done = false;
-          break;
-        }
-        cursor[d] = lo[d];
-      }
-      if (done) break;
-    }
+    });
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());

@@ -4,9 +4,8 @@
 // resolution, the server object tables, DIMES metadata queries — is "which
 // of these n boxes intersect this target box?". The naive answer
 // (nda::intersecting) scans all n; this index buckets boxes into a coarse
-// grid keyed by the Hilbert distance of the cell (the same SFC DataSpaces
-// itself uses for its DHT, §III-B3), so a query touches only the buckets
-// its target overlaps: O(cells + k) instead of O(n).
+// grid keyed by the row-major index of the cell, so a query touches only the
+// buckets its target overlaps: O(cells + k) instead of O(n).
 //
 // Grid geometry adapts to the data: per-dimension cell sizes track the
 // average box extent, so a 1-D staging-region decomposition gets cells only
@@ -15,16 +14,24 @@
 // every query scans; queries spanning too many cells fall back to the brute
 // scan. Both fallbacks keep worst cases no slower than nda::intersecting.
 //
+// Storage: one flat open-addressing table (imc::FlatMap) from cell key to
+// the head of that cell's chain in a single link array, so building the
+// grid makes O(1) allocations and filing a box into a cell makes none
+// beyond amortized growth.
+//
 // Determinism: query() returns exactly what nda::intersecting over the same
 // boxes (in insertion order) returns — same pairs, same order — proven by a
-// randomized property test. Internal hash buckets are only ever looked up,
-// never iterated, so address-dependent ordering cannot leak out.
+// randomized property test. Candidates are sorted by entry and tested with
+// an exact intersect before the merge, so the cell key decides only which
+// candidates are collected, and buckets are only ever looked up, never
+// iterated: address-dependent ordering cannot leak out.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "ndarray/ndarray.h"
 
 namespace imc::nda {
@@ -53,6 +60,16 @@ class BoxIndex {
     int id;
     Box box;
   };
+  // A cell's chain of filings in links_ (-1 ends a chain).
+  struct Chain {
+    int head = -1;
+  };
+  // One (entry, cell) filing; `next` continues the cell's chain.
+  struct Link {
+    int entry;
+    int next;
+  };
+  using Cells = std::array<std::uint32_t, Dims::kMaxRank>;
 
   // A box heavier than this many cells is kept on the coarse list instead
   // of being replicated into every bucket it touches.
@@ -61,12 +78,15 @@ class BoxIndex {
   static constexpr std::uint64_t kQueryCellLimit = 2048;
 
   void rebuild() const;
-  bool grid_usable(const Box& target) const;
-  std::uint64_t cell_of(std::uint64_t p, std::size_t d) const;
+  // Files entries_[entry] under every cell it covers, or on the coarse list
+  // when it is empty, of another rank, or covers none or too many cells.
+  void file(int entry) const;
   // Inclusive per-dimension cell range covered by `box` (clipped to the
   // grid bounds); returns the total cell count, 0 if outside the bounds.
-  std::uint64_t cell_range(const Box& box, std::vector<std::uint32_t>& lo,
-                           std::vector<std::uint32_t>& hi) const;
+  std::uint64_t cell_range(const Box& box, Cells& lo, Cells& hi) const;
+  // Calls visit(key) for the row-major key of every cell in [lo, hi].
+  template <typename Visit>
+  void for_each_cell(const Cells& lo, const Cells& hi, Visit&& visit) const;
   void brute_query(const Box& target,
                    std::vector<std::pair<int, Box>>& out) const;
 
@@ -75,13 +95,15 @@ class BoxIndex {
   // Grid state, rebuilt lazily on query (mutable: the index is a cache; the
   // simulation substrate is single-threaded by construction).
   mutable bool stale_ = true;
+  mutable bool grid_ = false;            // false: queries scan entries_
   mutable std::size_t built_count_ = 0;  // entries_ size at last rebuild
   mutable Box bounds_;                   // union of indexed boxes
-  mutable std::vector<std::uint64_t> cell_size_;  // per dimension, >= 1
-  mutable int cell_bits_ = 0;  // Hilbert bits per dimension; 0 = no grid
-  // Hilbert cell key -> indices into entries_.
-  mutable std::unordered_map<std::uint64_t, std::vector<int>> buckets_;
-  mutable std::vector<int> coarse_;  // entry indices scanned on every query
+  mutable Dims cell_size_;               // per dimension, >= 1
+  mutable Dims stride_;                  // row-major key stride per dimension
+  mutable FlatMap<Chain> cells_;         // cell key -> chain in links_
+  mutable std::vector<Link> links_;
+  mutable std::vector<int> coarse_;      // entry indices scanned every query
+  mutable std::vector<int> candidates_;  // query scratch
 };
 
 }  // namespace imc::nda

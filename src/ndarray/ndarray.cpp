@@ -17,12 +17,6 @@ Box Box::whole(const Dims& global) {
   return Box(Dims(global.size(), 0), global);
 }
 
-std::uint64_t Box::volume() const {
-  std::uint64_t v = 1;
-  for (std::size_t d = 0; d < lb.size(); ++d) v *= ub[d] - lb[d];
-  return lb.empty() ? 0 : v;
-}
-
 bool Box::contains(const Box& other) const {
   if (other.dims() != dims()) return false;
   for (std::size_t d = 0; d < lb.size(); ++d) {

@@ -134,7 +134,11 @@ struct Box {
   std::uint64_t extent(int d) const {
     return ub[static_cast<std::size_t>(d)] - lb[static_cast<std::size_t>(d)];
   }
-  std::uint64_t volume() const;
+  std::uint64_t volume() const {
+    std::uint64_t v = 1;
+    for (std::size_t d = 0; d < lb.size(); ++d) v *= ub[d] - lb[d];
+    return lb.empty() ? 0 : v;
+  }
   bool empty() const { return volume() == 0; }
   bool contains(const Box& other) const;
   bool contains_point(const Dims& p) const;

@@ -51,6 +51,20 @@ std::uint64_t next_op_key(const Endpoint& from, const Endpoint& to) {
   return injector != nullptr ? injector->op_key(from.pid, to.pid) : 0;
 }
 
+// Whether the bound plan can fire an RDMA flap / a packet loss at all.
+// When it cannot, fault::ride_out returns before its first co_await, so the
+// transfers below skip the fault-layer coroutines (and their frames) and
+// do the real work directly — same events, same results.
+bool may_flap() {
+  fault::Injector* injector = fault::active();
+  return injector != nullptr && injector->plan().rdma_flap > 0;
+}
+
+bool may_lose_packets() {
+  fault::Injector* injector = fault::active();
+  return injector != nullptr && injector->plan().packet_loss > 0;
+}
+
 // A dead node refuses transfers with a typed kConnectionFailed — the
 // simulated analogue of a peer vanishing mid-run.
 Status check_nodes_alive(sim::Engine& engine, const Endpoint& from,
@@ -144,22 +158,31 @@ sim::Task<Status> RdmaTransport::transfer(const Endpoint& from,
 
   // Synchronous uGNI-style registration: fails immediately when the node's
   // registered-memory capacity or handler count is exhausted (§III-B1).
+  // (if/else rather than `?:` around the co_await: GCC 12 miscompiles a
+  // co_await inside a conditional operator.)
   const std::uint64_t reg_bytes = std::min(bytes, kRdmaFragmentBytes);
+  const bool flaps = may_flap();
   bool src_registered = false;
   if (!opts.src_pinned) {
-    if (Status s = co_await register_with_flaps(*engine_, *from.node,
-                                                reg_bytes, op);
-        !s.is_ok()) {
-      co_return s;
+    Status s;
+    if (flaps) {
+      s = co_await register_with_flaps(*engine_, *from.node, reg_bytes, op);
+    } else {
+      s = from.node->rdma().register_memory(reg_bytes, kTransient);
     }
+    if (!s.is_ok()) co_return s;
     src_registered = true;
     trace::count("rdma.transient_registrations");
     trace::count("rdma.transient_reg_bytes", static_cast<double>(reg_bytes));
   }
   if (!opts.dst_pinned) {
-    if (Status s =
-            co_await register_with_flaps(*engine_, *to.node, reg_bytes, op);
-        !s.is_ok()) {
+    Status s;
+    if (flaps) {
+      s = co_await register_with_flaps(*engine_, *to.node, reg_bytes, op);
+    } else {
+      s = to.node->rdma().register_memory(reg_bytes, kTransient);
+    }
+    if (!s.is_ok()) {
       if (src_registered) from.node->rdma().deregister(reg_bytes, kTransient);
       co_return s;
     }
@@ -167,10 +190,12 @@ sim::Task<Status> RdmaTransport::transfer(const Endpoint& from,
     trace::count("rdma.transient_reg_bytes", static_cast<double>(reg_bytes));
   }
 
-  if (Status s = co_await retransmit_losses(*engine_, op); !s.is_ok()) {
-    if (src_registered) from.node->rdma().deregister(reg_bytes, kTransient);
-    if (!opts.dst_pinned) to.node->rdma().deregister(reg_bytes, kTransient);
-    co_return s;
+  if (may_lose_packets()) {
+    if (Status s = co_await retransmit_losses(*engine_, op); !s.is_ok()) {
+      if (src_registered) from.node->rdma().deregister(reg_bytes, kTransient);
+      if (!opts.dst_pinned) to.node->rdma().deregister(reg_bytes, kTransient);
+      co_return s;
+    }
   }
 
   if (kind_ == TransportKind::kRdmaNnti) {
@@ -291,9 +316,11 @@ sim::Task<Status> SocketTransport::transfer(const Endpoint& from,
         co_await it->second.slots->acquire();
       }
     }
-    if (Status s = co_await retransmit_losses(*engine_, op); !s.is_ok()) {
-      it->second.slots->release();
-      co_return s;
+    if (may_lose_packets()) {
+      if (Status s = co_await retransmit_losses(*engine_, op); !s.is_ok()) {
+        it->second.slots->release();
+        co_return s;
+      }
     }
     co_await engine_->sleep(kSocketPerTransferOverhead);
     co_await fabric_->transfer(*from.node, *to.node, bytes,
@@ -307,8 +334,10 @@ sim::Task<Status> SocketTransport::transfer(const Endpoint& from,
                              std::to_string(from.pid) + " and pid " +
                              std::to_string(to.pid));
   }
-  if (Status s = co_await retransmit_losses(*engine_, op); !s.is_ok()) {
-    co_return s;
+  if (may_lose_packets()) {
+    if (Status s = co_await retransmit_losses(*engine_, op); !s.is_ok()) {
+      co_return s;
+    }
   }
   // The stream rate is capped by the memory-copy cost across the network
   // stack (§III-B5, [38]-[41]).

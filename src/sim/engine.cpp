@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <exception>
+#include <utility>
 
 #include "common/arena.h"
 #include "common/check.h"
@@ -16,7 +17,7 @@ namespace {
 // RootTask: the detached wrapper coroutine created by Engine::spawn. It owns
 // the user Task for its whole lifetime and self-destroys at final suspend.
 struct RootTask {
-  struct promise_type {
+  struct promise_type : RootLink {
     Engine* engine = nullptr;
 
     // Same arena-backed frames as sim::Task (see TaskPromiseBase).
@@ -39,7 +40,7 @@ struct RootTask {
       void await_suspend(std::coroutine_handle<promise_type> h) noexcept {
         // Unregisters and destroys the frame; control returns to the
         // resumer (the engine loop or a completing awaitable).
-        h.promise().engine->on_root_done(h);
+        h.promise().engine->on_root_done(h.promise());
       }
       void await_resume() const noexcept {}
     };
@@ -76,11 +77,12 @@ std::string_view to_string(TieBreak tie_break) {
   return "unknown";
 }
 
-void Engine::on_root_done(std::coroutine_handle<> root) {
-  auto it = roots_.find(root.address());
-  assert(it != roots_.end());
-  roots_.erase(it);
-  root.destroy();
+void Engine::on_root_done(RootLink& root) {
+  assert(active_roots_ > 0);
+  (root.prev != nullptr ? root.prev->next : roots_head_) = root.next;
+  (root.next != nullptr ? root.next->prev : roots_tail_) = root.prev;
+  --active_roots_;
+  root.handle.destroy();
 }
 
 Engine::~Engine() { reap_processes(); }
@@ -90,21 +92,15 @@ void Engine::reap_processes() {
   // requests that will never come after the workflow finished).
   // Destroying a suspended coroutine unwinds its locals, which cascades into
   // any child Task frames it owns. Unwinding runs observable destructors
-  // (trace spans, resource auditors), so reap in spawn order — the map's own
-  // iteration order hashes frame addresses and varies with allocator
-  // history.
-  auto roots = std::move(roots_);
-  roots_.clear();
-  std::vector<Root> order;
-  order.reserve(roots.size());
-  for (auto& [addr, root] : roots) {
-    (void)addr;
-    order.push_back(root);
-  }
-  std::sort(order.begin(), order.end(),
-            [](const Root& a, const Root& b) { return a.seq < b.seq; });
-  for (const Root& root : order) {
-    root.handle.destroy();
+  // (trace spans, resource auditors), so reap in spawn order. The list is
+  // detached first: processes spawned while unwinding join a fresh list.
+  RootLink* root = std::exchange(roots_head_, nullptr);
+  roots_tail_ = nullptr;
+  active_roots_ = 0;
+  while (root != nullptr) {
+    RootLink* next = root->next;
+    root->handle.destroy();
+    root = next;
   }
 }
 
@@ -235,8 +231,13 @@ bool Engine::advance_instant(SimTime deadline) {
 
 void Engine::spawn(Task<> task) {
   RootTask root = make_root(std::move(task));
-  root.handle.promise().engine = this;
-  roots_.emplace(root.handle.address(), Root{root.handle, next_root_seq_++});
+  auto& link = root.handle.promise();
+  link.engine = this;
+  link.handle = root.handle;
+  link.prev = roots_tail_;
+  (roots_tail_ != nullptr ? roots_tail_->next : roots_head_) = &link;
+  roots_tail_ = &link;
+  ++active_roots_;
   schedule_now(root.handle);
 }
 

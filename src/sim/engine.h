@@ -19,7 +19,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -41,6 +40,14 @@ std::string_view to_string(TieBreak tie_break);
 struct Schedule {
   TieBreak tie_break = TieBreak::kFifo;
   std::uint64_t seed = 0;  // only used by kSeededShuffle
+};
+
+// Links of one live detached process, embedded in its wrapper coroutine's
+// promise so spawning allocates nothing beyond the frame itself.
+struct RootLink {
+  RootLink* prev = nullptr;
+  RootLink* next = nullptr;
+  std::coroutine_handle<> handle;
 };
 
 class Engine {
@@ -133,7 +140,7 @@ class Engine {
   // a Flexpath writer's close() — which must not observe freed state).
   void reap_processes();
 
-  std::size_t active_processes() const { return roots_.size(); }
+  std::size_t active_processes() const { return active_roots_; }
 
   // Uncaught exceptions from spawned processes are recorded here rather than
   // terminating the simulation; tests assert this list is empty.
@@ -167,7 +174,7 @@ class Engine {
   const std::vector<TraceEntry>& trace() const { return trace_; }
 
   // Internal: called by the detached-process wrapper at final suspend.
-  void on_root_done(std::coroutine_handle<> root);
+  void on_root_done(RootLink& root);
 
  private:
   // One scheduled resume. Its instant lives on the containing batch (the
@@ -276,17 +283,13 @@ class Engine {
   bool last_far_valid_ = false;
   std::vector<Event> ready_;     // [ready_head_, end) sorted by (key, seq)
   std::size_t ready_head_ = 0;   // next ready event to resume
-  // Live detached processes, keyed by frame address (handle recoverable via
-  // from_address). Needed so ~Engine can reclaim parked processes. The spawn
-  // sequence number makes reap order deterministic: iterating the map follows
-  // pointer-hash order, which depends on allocator history, and frame
-  // destruction runs observable destructors (trace spans, auditors).
-  struct Root {
-    std::coroutine_handle<> handle;
-    std::uint64_t seq = 0;
-  };
-  std::unordered_map<void*, Root> roots_;
-  std::uint64_t next_root_seq_ = 0;
+  // Live detached processes as a list in spawn order, so ~Engine can reclaim
+  // parked processes in that order: frame destruction runs observable
+  // destructors (trace spans, auditors), so the order must not depend on
+  // frame addresses or allocator history.
+  RootLink* roots_head_ = nullptr;
+  RootLink* roots_tail_ = nullptr;
+  std::size_t active_roots_ = 0;
   std::vector<std::string> failures_;
   std::uint64_t digest_ = 0x243f6a8885a308d3ull;  // arbitrary non-zero start
   std::size_t events_processed_ = 0;

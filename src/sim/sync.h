@@ -9,6 +9,9 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.h"
@@ -115,19 +118,38 @@ class Semaphore {
 
 // Unbounded MPSC/MPMC mailbox. push() never blocks; pop() suspends until an
 // item is available. Values are delivered in push order.
+//
+// Items live in a power-of-two ring and parked poppers in a vector read from
+// a head index, so constructing a queue allocates nothing and a long-lived
+// server queue allocates only while it grows to its high-water capacity,
+// which it keeps until destroyed.
 template <typename T>
 class Queue {
  public:
   explicit Queue(Engine& engine) : engine_(&engine) {}
+  ~Queue() {
+    for (std::size_t i = 0; i < size_; ++i) {
+      std::destroy_at(slots_ + ((head_ + i) & (capacity_ - 1)));
+    }
+    if (slots_ != nullptr) std::allocator<T>().deallocate(slots_, capacity_);
+  }
+  Queue(const Queue&) = delete;
+  Queue& operator=(const Queue&) = delete;
 
-  std::size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   void push(T value) {
-    items_.push_back(std::move(value));
-    if (!poppers_.empty()) {
-      engine_->schedule_now(poppers_.front());
-      poppers_.pop_front();
+    if (size_ == capacity_) grow();
+    std::construct_at(slots_ + ((head_ + size_) & (capacity_ - 1)),
+                      std::move(value));
+    ++size_;
+    if (popper_head_ < poppers_.size()) {
+      engine_->schedule_now(poppers_[popper_head_++]);
+      if (popper_head_ == poppers_.size()) {
+        poppers_.clear();
+        popper_head_ = 0;
+      }
       ++claimed_;
     }
   }
@@ -140,8 +162,8 @@ class Queue {
         // Items beyond those already claimed by scheduled poppers may be
         // taken immediately (claimed poppers always consume from the front,
         // so content order is preserved either way).
-        return queue->poppers_.empty() &&
-               queue->items_.size() > queue->claimed_;
+        return queue->popper_head_ == queue->poppers_.size() &&
+               queue->size_ > queue->claimed_;
       }
       void await_suspend(std::coroutine_handle<> h) {
         woken = true;
@@ -152,10 +174,79 @@ class Queue {
           assert(queue->claimed_ > 0);
           --queue->claimed_;
         }
-        assert(!queue->items_.empty());
-        T value = std::move(queue->items_.front());
-        queue->items_.pop_front();
-        return value;
+        assert(queue->size_ > 0);
+        return queue->take();
+      }
+    };
+    return Awaiter{this};
+  }
+
+ private:
+  T take() {
+    T* front = slots_ + head_;
+    T value = std::move(*front);
+    std::destroy_at(front);
+    head_ = (head_ + 1) & (capacity_ - 1);
+    --size_;
+    return value;
+  }
+
+  // Doubles the ring, unrolling it so the oldest item lands at slot 0.
+  void grow() {
+    const std::size_t capacity = capacity_ == 0 ? 4 : capacity_ * 2;
+    T* slots = std::allocator<T>().allocate(capacity);
+    for (std::size_t i = 0; i < size_; ++i) {
+      T* from = slots_ + ((head_ + i) & (capacity_ - 1));
+      std::construct_at(slots + i, std::move(*from));
+      std::destroy_at(from);
+    }
+    if (slots_ != nullptr) std::allocator<T>().deallocate(slots_, capacity_);
+    slots_ = slots;
+    capacity_ = capacity;
+    head_ = 0;
+  }
+
+  Engine* engine_;
+  T* slots_ = nullptr;
+  std::size_t capacity_ = 0;  // 0 or a power of two
+  std::size_t head_ = 0;      // slot of the oldest item
+  std::size_t size_ = 0;
+  std::vector<std::coroutine_handle<>> poppers_;  // [popper_head_, end) parked
+  std::size_t popper_head_ = 0;
+  std::size_t claimed_ = 0;  // items reserved for already-scheduled poppers
+};
+
+// One-slot mailbox for a single-answer round trip (a server's reply to one
+// request). push() runs at most once and wakes a parked waiter through
+// schedule_now; pop() is ready once the value is present. That is exactly
+// the wake order a Queue holding one item gives, without the Queue's
+// storage: the value lives inline.
+template <typename T>
+class Reply {
+ public:
+  explicit Reply(Engine& engine) : engine_(&engine) {}
+  Reply(const Reply&) = delete;
+  Reply& operator=(const Reply&) = delete;
+
+  void push(T value) {
+    // pop() moves the value out but leaves the optional engaged, so this
+    // also catches a second answer after the first was consumed.
+    assert(!value_.has_value() && "a Reply is answered at most once");
+    value_.emplace(std::move(value));
+    if (waiter_) engine_->schedule_now(std::exchange(waiter_, {}));
+  }
+
+  [[nodiscard]] auto pop() {
+    struct Awaiter {
+      Reply* reply;
+      bool await_ready() const noexcept { return reply->value_.has_value(); }
+      void await_suspend(std::coroutine_handle<> h) {
+        assert(!reply->waiter_ && "a Reply has one waiter");
+        reply->waiter_ = h;
+      }
+      T await_resume() {
+        assert(reply->value_.has_value());
+        return std::move(*reply->value_);
       }
     };
     return Awaiter{this};
@@ -163,9 +254,8 @@ class Queue {
 
  private:
   Engine* engine_;
-  std::deque<T> items_;
-  std::deque<std::coroutine_handle<>> poppers_;
-  std::size_t claimed_ = 0;  // items reserved for already-scheduled poppers
+  std::optional<T> value_;
+  std::coroutine_handle<> waiter_;
 };
 
 // Reusable barrier for N participants (used by the mini-MPI collective).

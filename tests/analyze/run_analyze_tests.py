@@ -40,6 +40,7 @@ CORPUS = {
     "env-without-or-die": [("env_without_or_die", 2)],
     "raw-exit-in-library": [("raw_exit_in_library", 2)],
     "co-await-under-lock": [("co_await_under_lock", 2)],
+    "co-await-in-conditional": [("co_await_in_conditional", 3)],
     "detached-coroutine-lifetime": [("detached_coroutine_lifetime", 2)],
     "discarded-result": [("discarded_result", 2)],
 }

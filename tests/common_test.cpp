@@ -15,6 +15,69 @@ namespace {
 
 // The leak report lists resources in enum order and, within each, owners
 // in sorted order, however the ledger stores them.
+TEST(Auditor, EqualLengthOwnersInOneStringAreChargedSeparately) {
+  // One std::string object re-used for two equal-length owners keeps its
+  // address (and, short or long, its buffer): the address index must not
+  // hand the second owner the first one's entry.
+  for (const std::string prefix : {"r", "a-long-owner-prefix-beyond-sso/"}) {
+    audit::Auditor a;
+    const auto r = audit::Resource::kProcessBytes;
+    std::string owner = prefix + "1";
+    a.acquire(r, owner, 10);
+    owner = prefix + "2";
+    a.acquire(r, owner, 5);
+    EXPECT_EQ(a.outstanding(r), 15u);
+    EXPECT_EQ(a.leaks(),
+              (std::vector<std::string>{
+                  "process-bytes: 10 outstanding (" + prefix + "1)",
+                  "process-bytes: 5 outstanding (" + prefix + "2)"}));
+    owner = prefix + "1";
+    a.release(r, owner, 10);
+    EXPECT_EQ(a.leaks(),
+              (std::vector<std::string>{"process-bytes: 5 outstanding (" +
+                                        prefix + "2)"}));
+    owner = prefix + "2";
+    a.release(r, owner, 5);
+    EXPECT_EQ(a.outstanding(r), 0u);
+    EXPECT_TRUE(a.clean());
+  }
+}
+
+TEST(Auditor, ZeroCountOwnersAreAbsentFromLeaks) {
+  audit::Auditor a;
+  const std::string staged = "ds-server-0";
+  const std::string bytes = "ds-server-0/staging";
+  a.acquire(audit::Resource::kStagedObject, staged, 2);
+  a.acquire(audit::Resource::kProcessBytes, bytes, 64);
+  a.release(audit::Resource::kStagedObject, staged, 2);
+  EXPECT_EQ(a.leaks(), (std::vector<std::string>{
+                           "process-bytes: 64 outstanding "
+                           "(ds-server-0/staging)"}));
+  a.release(audit::Resource::kProcessBytes, bytes, 64);
+  EXPECT_TRUE(a.leaks().empty());
+  EXPECT_TRUE(a.clean());
+  // A drained owner charges again from zero.
+  a.acquire(audit::Resource::kStagedObject, staged, 1);
+  EXPECT_EQ(a.outstanding(audit::Resource::kStagedObject), 1u);
+}
+
+TEST(Auditor, ReleaseAfterResetIsClamped) {
+  audit::Auditor a;
+  const std::string owner = "rank7/library";
+  const auto r = audit::Resource::kProcessBytes;
+  a.acquire(r, owner, 100);
+  a.reset();
+  a.release(r, owner, 100);  // the entry is gone with the reset: ignored
+  EXPECT_EQ(a.outstanding(r), 0u);
+  EXPECT_TRUE(a.clean());
+  a.acquire(r, owner, 30);
+  a.release(r, owner, 50);  // clamped to the 30 outstanding
+  EXPECT_EQ(a.outstanding(r), 0u);
+  EXPECT_TRUE(a.leaks().empty());
+  a.acquire(r, owner, 5);
+  EXPECT_EQ(a.outstanding(r), 5u);
+}
+
 TEST(Auditor, LeakLinesSortedByOwnerWithinEachResource) {
   audit::Auditor a;
   std::vector<std::string> owners;

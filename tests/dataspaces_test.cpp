@@ -313,6 +313,46 @@ TEST_F(DsFixture, PutFailsWhenStagingNodeOutOfRdmaMemory) {
   }(writer, put_status));
   run_all();
   EXPECT_EQ(put_status.code(), ErrorCode::kOutOfRdmaMemory);
+  // The failed 15th attempt gives its per-object index entries back: only
+  // the 14 staged objects stay charged (64 MiB of entries each).
+  const std::uint64_t per_object = index_bytes_for_object(2ull * 128 * 65536);
+  EXPECT_EQ(per_object, 67108864u);
+  EXPECT_EQ(ds->server_stats(0).index_bytes, 939524096u);
+  EXPECT_EQ(ds->server_stats(0).index_bytes, 14 * per_object);
+  EXPECT_EQ(ds->server_memory(0).current(mem::Tag::kIndex), 14 * per_object);
+}
+
+TEST_F(DsFixture, FailedWaitRetryAttemptsLeaveNoIndexCharge) {
+  // Table IV's wait-and-retry resolve: the 15th put retries until its
+  // budget runs out. Every failed attempt must give its per-object index
+  // entries back, so the charge stays that of the objects actually staged.
+  Config c;
+  c.servers_per_node = 1;
+  c.wait_retry_registration = true;
+  c.max_retry_attempts = 4;
+  c.retry_interval_seconds = 0.01;
+  auto ds = deploy(1, c);
+  auto writer = make_rank(*ds, 1);
+  Status put_status;
+  int staged = 0;
+  engine.spawn([](DsFixture::Rank& w, Status& out, int& ok) -> sim::Task<> {
+    EXPECT_TRUE((co_await w.client->init()).is_ok());
+    const nda::Dims dims = {2, 128, 65536};  // 128 MiB of doubles
+    for (int v = 0; v < 15; ++v) {
+      VarDesc var{"big" + std::to_string(v), dims, 0};
+      Slab content = Slab::synthetic(Box::whole(dims), 1);
+      out = co_await w.client->put(var, content);
+      if (!out.is_ok()) break;
+      ++ok;
+    }
+  }(writer, put_status, staged));
+  run_all();
+  EXPECT_EQ(put_status.code(), ErrorCode::kTimeout);
+  EXPECT_EQ(staged, 14);
+  const std::uint64_t per_object = index_bytes_for_object(2ull * 128 * 65536);
+  EXPECT_EQ(ds->server_stats(0).index_bytes, 14 * per_object);
+  EXPECT_EQ(ds->server_memory(0).current(mem::Tag::kIndex), 14 * per_object);
+  EXPECT_EQ(ds->server_stats(0).puts, 14u);
 }
 
 TEST_F(DsFixture, ManySmallObjectsExhaustRdmaHandlers) {

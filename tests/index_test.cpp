@@ -131,6 +131,67 @@ TEST(BoxIndex, StagingRegionDecomposition) {
   }
 }
 
+TEST(BoxIndex, MaxRankBoxesSpanningSeveralCellsPerDimension) {
+  // 4-D (Dims::kMaxRank) boxes of mixed size: the average extent sets the
+  // cell size, so the larger boxes cover 2-3 cells in every dimension (some
+  // past the coarse limit) and the row-major key walk carries across all
+  // four dimensions.
+  static_assert(Dims::kMaxRank == 4);
+  Rng rng(0x4d4b0c5ull);
+  std::vector<Box> boxes;
+  auto random_box = [&](std::uint64_t max_span) {
+    Dims lb(4), ub(4);
+    for (std::size_t d = 0; d < 4; ++d) {
+      lb[d] = rng.next_below(56);
+      ub[d] = std::min<std::uint64_t>(lb[d] + 1 + rng.next_below(max_span), 64);
+    }
+    return Box(lb, ub);
+  };
+  for (int i = 0; i < 200; ++i) boxes.push_back(random_box(i % 4 == 0 ? 14 : 6));
+  const BoxIndex index = BoxIndex::build(boxes);
+  for (int q = 0; q < 64; ++q) {
+    const Box target = random_box(q % 8 == 0 ? 40 : 16);
+    EXPECT_EQ(index.query(target), brute(boxes, target))
+        << "q=" << q << " target=" << target.to_string();
+  }
+  const Box universe = Box::whole({64, 64, 64, 64});
+  EXPECT_EQ(index.query(universe), brute(boxes, universe));
+}
+
+TEST(BoxIndex, InsertsAfterBuildGrowTheBucketTable) {
+  // 20 aligned 4x4 boxes (the corners fix the bounds to 256x256) build a
+  // 64x64-cell grid with about 20 occupied cells, sized for them. The next
+  // 20 inserts stay within twice the built count and inside the bounds, so
+  // each folds into the built grid — and each unaligned 8x8 box touches up
+  // to 9 new cells, several times what the table was sized for.
+  std::vector<Box> boxes;
+  for (std::uint64_t corner : {0ull, 252ull}) {
+    boxes.push_back(Box({corner, 0}, {corner + 4, 4}));
+    boxes.push_back(Box({corner, 252}, {corner + 4, 256}));
+  }
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    boxes.push_back(Box({16 + 12 * i, 8 * i}, {20 + 12 * i, 8 * i + 4}));
+  }
+  BoxIndex index;
+  for (std::size_t i = 0; i < boxes.size(); ++i) {
+    index.insert(static_cast<int>(i), boxes[i]);
+  }
+  const Box probe({0, 0}, {64, 64});
+  EXPECT_EQ(index.query(probe), brute(boxes, probe));  // builds the grid
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    const std::uint64_t x = 6 + 11 * i;
+    const std::uint64_t y = 250 - 12 * i;
+    boxes.push_back(Box({x, y - 8}, {x + 8, y}));
+    index.insert(static_cast<int>(boxes.size()) - 1, boxes.back());
+    const Box target({x > 10 ? x - 10 : 0, y - 20}, {x + 10, y + 4});
+    EXPECT_EQ(index.query(target), brute(boxes, target)) << "insert " << i;
+  }
+  for (std::uint64_t lo = 0; lo < 256; lo += 32) {
+    const Box band({lo, 0}, {lo + 40 > 256 ? 256 : lo + 40, 256});
+    EXPECT_EQ(index.query(band), brute(boxes, band)) << "band " << lo;
+  }
+}
+
 // Randomized equivalence sweep: random boxes (including degenerate ones),
 // random queries, 1-D through 3-D, checked element-for-element against the
 // brute-force scan. Seeded per lint rules — fully reproducible.

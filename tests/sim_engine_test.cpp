@@ -293,6 +293,35 @@ TEST(Engine, ReapProcessesDestroysParkedFrames) {
   EXPECT_EQ(destroyed, 3);  // frame unwinding ran every local destructor
 }
 
+TEST(Engine, ReapDestroysParkedRootsInSpawnOrder) {
+  // Roots 0, 3 and 5 finish (in the order 3, 5, 0), unlinking the head, a
+  // middle and the tail of the live list; root 6 is spawned after that.
+  // Reaping must still destroy the parked roots in spawn order.
+  Engine engine;
+  std::vector<int> order;
+  struct Sentinel {
+    std::vector<int>* out;
+    int id;
+    ~Sentinel() { out->push_back(id); }
+  };
+  const auto root = [](Engine& e, std::vector<int>& out, int id,
+                       double dt) -> Task<> {
+    Sentinel s{&out, id};
+    co_await e.sleep(dt);
+  };
+  const double finish_at[] = {3, 1e18, 1e18, 1, 1e18, 2};
+  for (int i = 0; i < 6; ++i) engine.spawn(root(engine, order, i, finish_at[i]));
+  engine.run_until(10);
+  EXPECT_EQ(order, (std::vector<int>{3, 5, 0}));
+  engine.spawn(root(engine, order, 6, 1e18));
+  engine.run_until(20);
+  EXPECT_EQ(engine.active_processes(), 4u);
+  order.clear();
+  engine.reap_processes();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 6}));
+  EXPECT_EQ(engine.active_processes(), 0u);
+}
+
 TEST(Engine, ProcessFailuresAccumulateAcrossProcesses) {
   Engine engine;
   engine.spawn([](Engine& e) -> Task<> {
