@@ -22,7 +22,7 @@ diff the hashes across thread counts.
 
 Modes:
   full (default)   all benches; writes BENCH_perf.json at the repo root
-  --smoke          CI gate: hot-path microbenches + four fast scenarios,
+  --smoke          CI gate: hot-path microbenches + five fast scenarios,
                    asserts everything runs and emits valid JSON; writes
                    into the build directory only
 
@@ -67,8 +67,11 @@ SCENARIOS = [
 # bench_fig3_problem_size's 256^2 and 512^2 rows stage tiled Laplace writer
 # slabs, so the same diff covers tiled writers and the one-tiling reader
 # assembly; it runs in about a second since writers stopped expanding.
+# bench_fig2_end_to_end is the only scenario that runs all seven methods at
+# paper scale, so the diff covers every library's staging path there.
 SMOKE_SCENARIOS = ["bench_tab1_configurations", "bench_fig6_index_cost",
-                   "bench_fig10_transport", "bench_fig3_problem_size"]
+                   "bench_fig10_transport", "bench_fig3_problem_size",
+                   "bench_fig2_end_to_end"]
 
 # Full-mode sweep widths: every scenario re-runs at each width and the
 # speedup over the sequential pass lands in derived.sweep_scaling. The

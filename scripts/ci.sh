@@ -68,7 +68,7 @@ IMC_THREADS=8 "$tsan_build/tests/test_sweep"
 IMC_THREADS=8 "$tsan_build/tests/test_check"
 
 # Release-mode bench smoke: builds the benches without sanitizers, runs the
-# hot-path microbench subset plus four fast scenarios, and asserts the run
+# hot-path microbench subset plus five fast scenarios, and asserts the run
 # emits valid JSON with every derived speedup present. Time-bounded by the
 # reduced --benchmark_min_time and per-bench timeouts inside bench.py.
 # The gate runs twice — sequential and on the sweep pool — and the scenario

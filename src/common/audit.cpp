@@ -1,6 +1,7 @@
 #include "common/audit.h"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 #include <utility>
 
@@ -28,37 +29,29 @@ std::string_view to_string(Resource r) {
   return "unknown";
 }
 
-Auditor::Entry* Auditor::lookup(int idx, const std::string& owner,
-                                bool create) {
-  const auto address = reinterpret_cast<std::uintptr_t>(&owner);
-  Entry** cached = by_address_[idx].find(address);
-  if (cached != nullptr && (*cached)->first == owner) return *cached;
-  Ledger& ledger = ledger_[idx];
-  auto it = create ? ledger.try_emplace(owner, 0).first : ledger.find(owner);
-  if (it == ledger.end()) return nullptr;
-  by_address_[idx][address] = &*it;
-  return &*it;
+namespace {
+
+// Source of Auditor ids: process-unique, never 0 (a fresh Owner's "none").
+std::atomic<std::uint64_t> g_next_id{1};
+
+std::uint64_t fresh_id() {
+  return g_next_id.fetch_add(1, std::memory_order_relaxed);
 }
+
+}  // namespace
+
+Auditor::Auditor() : id_(fresh_id()) {}
 
 void Auditor::acquire(Resource r, const std::string& owner, std::uint64_t n) {
   if (n == 0) return;
   const int idx = static_cast<int>(r);
-  lookup(idx, owner, /*create=*/true)->second += n;
+  ledger_[owner][idx] += n;
   totals_[idx] += n;
 }
 
 void Auditor::release(Resource r, const std::string& owner, std::uint64_t n) {
-  if (n == 0) return;
-  const int idx = static_cast<int>(r);
-  // Releases that outlive a reset() (e.g. a test fixture tearing down after
-  // a nested workflow::run) find no entry or a zero count and are clamped
-  // rather than reported: leak detection only needs the outstanding side
-  // of the ledger.
-  Entry* e = lookup(idx, owner, /*create=*/false);
-  if (e == nullptr) return;
-  const std::uint64_t take = n < e->second ? n : e->second;
-  e->second -= take;
-  totals_[idx] -= take;
+  auto it = ledger_.find(owner);
+  if (it != ledger_.end()) take(static_cast<int>(r), it->second.data(), n);
 }
 
 void Auditor::violation(const std::string& what) {
@@ -80,7 +73,8 @@ std::vector<std::string> Auditor::leaks() const {
   std::vector<std::string> out;
   for (int idx = 0; idx < kResourceCount; ++idx) {
     std::vector<std::pair<std::string_view, std::uint64_t>> owners;
-    for (const auto& [owner, count] : ledger_[idx]) {
+    for (const auto& [owner, counts] : ledger_) {
+      const std::uint64_t count = counts[static_cast<std::size_t>(idx)];
       if (count != 0) owners.emplace_back(owner, count);
     }
     std::sort(owners.begin(), owners.end());
@@ -96,30 +90,22 @@ std::vector<std::string> Auditor::leaks() const {
 }
 
 void Auditor::reset() {
-  for (auto& ledger : ledger_) ledger.clear();
-  for (auto& index : by_address_) index.clear();
-  for (auto& total : totals_) total = 0;
+  ledger_.clear();
+  totals_.fill(0);
   violations_.clear();
+  id_ = fresh_id();
 }
 
-namespace {
-
-// Innermost ScopedAuditor binding on this thread; null outside any scope.
-thread_local Auditor* t_bound = nullptr;
-
-}  // namespace
-
-Auditor& global() {
-  if (t_bound != nullptr) return *t_bound;
-  static Auditor process_wide;
-  return process_wide;
+Auditor& detail::process_wide() {
+  static Auditor auditor;
+  return auditor;
 }
 
-ScopedAuditor::ScopedAuditor(Auditor& auditor) : previous_(t_bound) {
-  t_bound = &auditor;
+ScopedAuditor::ScopedAuditor(Auditor& auditor) : previous_(detail::t_bound) {
+  detail::t_bound = &auditor;
 }
 
-ScopedAuditor::~ScopedAuditor() { t_bound = previous_; }
+ScopedAuditor::~ScopedAuditor() { detail::t_bound = previous_; }
 
 bool runtime_enabled() {
   static const bool enabled = env::flag_or_die("IMC_CHECK", true);

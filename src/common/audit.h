@@ -17,14 +17,15 @@
 // the IMC_CHECK *environment variable* is set to 0.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/flat_map.h"
 
 namespace imc::audit {
 
@@ -41,10 +42,44 @@ inline constexpr int kResourceCount = 7;
 
 std::string_view to_string(Resource r);
 
+// An owner tag that keeps its ledger slot. The hot owners (a process's
+// memory tags, its staged objects and RDMA registrations, a transport's
+// transient registrations) hold one and charge through it: the slot is
+// resolved by text once per bound Auditor, after which a charge is an id
+// compare and two adds. The slot is trusted only while its Auditor id
+// matches the charged Auditor's, which every Auditor instance and every
+// reset() renews, so a slot never outlives the ledger it points into.
+class Owner {
+ public:
+  Owner() = default;
+  explicit Owner(std::string text) : text_(std::move(text)) {}
+
+ private:
+  friend class Auditor;
+
+  std::string text_;
+  std::uint64_t auditor_ = 0;       // Auditor id the slot belongs to; 0: none
+  std::uint64_t* counts_ = nullptr;  // that ledger's counts of text_
+};
+
 class Auditor {
  public:
+  Auditor();
+  // Not copyable: a copy would carry the id, but not the entries that
+  // slots resolved under it point into.
+  Auditor(const Auditor&) = delete;
+  Auditor& operator=(const Auditor&) = delete;
+
   void acquire(Resource r, const std::string& owner, std::uint64_t n = 1);
   void release(Resource r, const std::string& owner, std::uint64_t n = 1);
+  void acquire(Resource r, Owner& owner, std::uint64_t n = 1) {
+    const int idx = static_cast<int>(r);
+    slot(owner)[idx] += n;
+    totals_[idx] += n;
+  }
+  void release(Resource r, Owner& owner, std::uint64_t n = 1) {
+    take(static_cast<int>(r), slot(owner), n);
+  }
   void violation(const std::string& what);
 
   std::uint64_t outstanding(Resource r) const;
@@ -54,33 +89,53 @@ class Auditor {
   std::vector<std::string> leaks() const;
   const std::vector<std::string>& violations() const { return violations_; }
   bool clean() const;
+  // Drops every entry and takes a fresh id, so no slot resolved before the
+  // reset is used after it.
   void reset();
 
  private:
-  // owner -> outstanding count, per resource class. Hashed: leaks() sorts
-  // the owners, so the report never depends on bucket order. Entries are
-  // never erased (only reset() drops them) and a rehash moves no element,
-  // so their addresses are stable.
-  using Ledger = std::unordered_map<std::string, std::uint64_t>;
-  using Entry = Ledger::value_type;
+  using Counts = std::array<std::uint64_t, kResourceCount>;
 
-  // Ledger entry of `owner`, or null when absent and !create. The hot
-  // owners (ProcessMemory, RdmaPool) pass the same long-lived std::string
-  // on every call, so a per-resource index from the string object's
-  // address to its entry skips hashing the text. A hit is trusted only
-  // after the entry's own key compares equal to `owner`: the address may
-  // since hold another string (a temporary reusing a stack slot).
-  Entry* lookup(int idx, const std::string& owner, bool create);
+  std::uint64_t* slot(Owner& owner) {
+    if (owner.auditor_ != id_) {
+      owner.counts_ = ledger_[owner.text_].data();
+      owner.auditor_ = id_;
+    }
+    return owner.counts_;
+  }
 
-  Ledger ledger_[kResourceCount];
-  FlatMap<Entry*> by_address_[kResourceCount];
-  std::uint64_t totals_[kResourceCount] = {};
+  // Releases min(n, outstanding): releases that outlive a reset() (e.g. a
+  // test fixture tearing down after a nested workflow::run) find a zero
+  // count and are clamped rather than reported; leak detection only needs
+  // the outstanding side of the ledger.
+  void take(int idx, std::uint64_t* counts, std::uint64_t n) {
+    const std::uint64_t taken = n < counts[idx] ? n : counts[idx];
+    counts[idx] -= taken;
+    totals_[idx] -= taken;
+  }
+
+  // owner text -> outstanding count per resource. Hashed: leaks() sorts the
+  // owners, so the report never depends on bucket order. Entries are never
+  // erased (only reset() drops them) and a rehash moves no element, so a
+  // slot's pointer stays valid until the next reset().
+  std::unordered_map<std::string, Counts> ledger_;
+  std::uint64_t id_;
+  Counts totals_ = {};
   std::vector<std::string> violations_;
 };
 
+namespace detail {
+// Innermost ScopedAuditor binding on this thread; null outside any scope.
+inline thread_local Auditor* t_bound = nullptr;
+Auditor& process_wide();
+}  // namespace detail
+
 // The auditor used by all instrumentation hooks: the innermost Auditor
 // bound on this thread via ScopedAuditor, else the process-wide fallback.
-Auditor& global();
+inline Auditor& global() {
+  Auditor* bound = detail::t_bound;
+  return bound != nullptr ? *bound : detail::process_wide();
+}
 
 // Binds `auditor` as this thread's audit target for the scope's lifetime.
 // Bindings nest (the previous one is restored on destruction), keeping
@@ -118,6 +173,26 @@ inline void acquire(Resource r, const std::string& owner,
 
 inline void release(Resource r, const std::string& owner,
                     std::uint64_t n = 1) {
+#if IMC_CHECK_ENABLED
+  if (runtime_enabled()) global().release(r, owner, n);
+#else
+  (void)r;
+  (void)owner;
+  (void)n;
+#endif
+}
+
+inline void acquire(Resource r, Owner& owner, std::uint64_t n = 1) {
+#if IMC_CHECK_ENABLED
+  if (runtime_enabled()) global().acquire(r, owner, n);
+#else
+  (void)r;
+  (void)owner;
+  (void)n;
+#endif
+}
+
+inline void release(Resource r, Owner& owner, std::uint64_t n = 1) {
 #if IMC_CHECK_ENABLED
   if (runtime_enabled()) global().release(r, owner, n);
 #else

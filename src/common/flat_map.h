@@ -1,7 +1,7 @@
 // FlatMap: open-addressing hash map from 64-bit keys to small values.
 //
 // The per-object staging path looks small integer-like keys up millions of
-// times per run (BoxIndex cell keys, audit owner addresses).
+// times per run (BoxIndex cell keys).
 // std::unordered_map costs a node allocation per key and a modulo per
 // lookup; this map keeps every slot in one power-of-two vector, hashes with
 // one multiply, and probes linearly at a load factor of at most 1/2. It

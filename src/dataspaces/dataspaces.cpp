@@ -217,7 +217,7 @@ Status DataSpaces::try_stage(Server& server, const PutPrep& req) {
   std::uint64_t registered = 0;
   if (transport_is_rdma()) {
     if (Status st = server.endpoint.node->rdma().register_memory(
-            req.bytes, server.memory->name());
+            req.bytes, server.memory->audit_owner());
         !st.is_ok()) {
       server.memory->free(mem::Tag::kStaging, req.bytes);
       unwind_index();
@@ -232,7 +232,8 @@ Status DataSpaces::try_stage(Server& server, const PutPrep& req) {
       StagedObject{req.box, nda::Slab(), req.bytes, registered, req.region});
   vit->second.index.insert(
       static_cast<int>(vit->second.objects.size()) - 1, req.box);
-  audit::acquire(audit::Resource::kStagedObject, server.memory->name());
+  audit::acquire(audit::Resource::kStagedObject,
+                 server.memory->audit_owner());
   server.stats.staged_bytes += req.bytes;
   ++server.stats.puts;
   return Status::ok();
@@ -331,12 +332,12 @@ void DataSpaces::evict_versions(Server& server, std::string_view var,
       continue;
     }
     for (auto& object : it->second.objects) {
+      audit::Owner& owner = server.memory->audit_owner();
       server.memory->free(mem::Tag::kStaging, object.bytes);
       if (object.registered > 0) {
-        server.endpoint.node->rdma().deregister(object.registered,
-                                                server.memory->name());
+        server.endpoint.node->rdma().deregister(object.registered, owner);
       }
-      audit::release(audit::Resource::kStagedObject, server.memory->name());
+      audit::release(audit::Resource::kStagedObject, owner);
       server.stats.staged_bytes -= object.bytes;
       ++server.stats.evicted_objects;
     }
@@ -351,12 +352,12 @@ void DataSpaces::teardown_server(Server& server) {
     for (auto& [version, entry] : versions) {
       (void)version;
       for (auto& object : entry.objects) {
+        audit::Owner& owner = server.memory->audit_owner();
         server.memory->free(mem::Tag::kStaging, object.bytes);
         if (object.registered > 0) {
-          server.endpoint.node->rdma().deregister(object.registered,
-                                                  server.memory->name());
+          server.endpoint.node->rdma().deregister(object.registered, owner);
         }
-        audit::release(audit::Resource::kStagedObject, server.memory->name());
+        audit::release(audit::Resource::kStagedObject, owner);
         server.stats.staged_bytes -= object.bytes;
       }
       server.memory->free(mem::Tag::kIndex, entry.index_bytes);

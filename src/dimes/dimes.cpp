@@ -483,9 +483,9 @@ void Dimes::Client::evict_before(const std::string& var, int version) {
     if (it->var.name == var && it->var.version <= evict_upto) {
       memory_->free(mem::Tag::kStaging, it->bytes);
       if (it->registered > 0) {
-        self_.node->rdma().deregister(it->registered, memory_->name());
+        self_.node->rdma().deregister(it->registered, memory_->audit_owner());
       }
-      audit::release(audit::Resource::kStagedObject, memory_->name());
+      audit::release(audit::Resource::kStagedObject, memory_->audit_owner());
       buffer_used_ -= it->bytes;
       it = store_.erase(it);
     } else {
@@ -524,7 +524,8 @@ sim::Task<Status> Dimes::Client::put(const nda::VarDesc& var,
     // The staged object stays registered in the writer's memory until
     // evicted — this is what depletes compute-node registered memory at
     // 128 MB/proc on Titan (§III-B1).
-    if (Status st = self_.node->rdma().register_memory(bytes, memory_->name());
+    if (Status st =
+            self_.node->rdma().register_memory(bytes, memory_->audit_owner());
         !st.is_ok()) {
       memory_->free(mem::Tag::kStaging, bytes);
       co_return st;
@@ -533,7 +534,7 @@ sim::Task<Status> Dimes::Client::put(const nda::VarDesc& var,
   }
   store_.push_back(LocalObject{var, slab.extract(slab.box()), bytes,
                                registered});
-  audit::acquire(audit::Resource::kStagedObject, memory_->name());
+  audit::acquire(audit::Resource::kStagedObject, memory_->audit_owner());
   buffer_used_ += bytes;
 
   // Descriptor to the metadata chain. Each round trip retries transient
@@ -826,9 +827,10 @@ void Dimes::Client::finalize() {
   for (auto& object : store_) {
     memory_->free(mem::Tag::kStaging, object.bytes);
     if (object.registered > 0) {
-      self_.node->rdma().deregister(object.registered, memory_->name());
+      self_.node->rdma().deregister(object.registered,
+                                    memory_->audit_owner());
     }
-    audit::release(audit::Resource::kStagedObject, memory_->name());
+    audit::release(audit::Resource::kStagedObject, memory_->audit_owner());
   }
   store_.clear();
   buffer_used_ = 0;

@@ -13,9 +13,27 @@ Flexpath::Flexpath(sim::Engine& engine, hpc::Cluster& cluster,
     : engine_(&engine),
       cluster_(&cluster),
       transport_(&transport),
-      config_(std::move(config)) {}
+      config_(std::move(config)),
+      writers_(std::make_shared<const std::vector<Writer*>>()) {}
 
 Flexpath::~Flexpath() = default;
+
+void Flexpath::set_writer(int pid, Writer* writer) {
+  auto next = std::make_shared<std::vector<Writer*>>(*writers_);
+  auto it = std::lower_bound(
+      next->begin(), next->end(), pid,
+      [](const Writer* w, int key) { return w->self_.pid < key; });
+  const bool present = it != next->end() && (*it)->self_.pid == pid;
+  if (writer == nullptr) {
+    if (!present) return;
+    next->erase(it);
+  } else if (present) {
+    *it = writer;
+  } else {
+    next->insert(it, writer);
+  }
+  writers_ = std::move(next);
+}
 
 // -------------------------------------------------------------- writer ----
 
@@ -41,7 +59,8 @@ sim::Task<Status> Flexpath::Writer::open(const std::string& group) {
   format_id_ = fp_->formats_.register_format(format);
   queue_slots_ = std::make_unique<sim::Semaphore>(
       *fp_->engine_, static_cast<std::uint64_t>(fp_->config_.queue_size));
-  fp_->writers_[self_.pid] = this;
+  if (slot_ < 0) slot_ = fp_->writer_slots_++;
+  fp_->set_writer(self_.pid, this);
   open_ = true;
   co_return Status::ok();
 }
@@ -63,8 +82,7 @@ sim::Task<Status> Flexpath::Writer::write_step(const nda::VarDesc& var,
     queue_slots_->release();
     co_return st;
   }
-  auto [it, inserted] = steps_.try_emplace(var.version);
-  Step& step = it->second;
+  Step& step = find_or_add_step(var.version);
   step.var = var;
   step.slab = slab.extract(slab.box());
   step.bytes = bytes;
@@ -72,29 +90,36 @@ sim::Task<Status> Flexpath::Writer::write_step(const nda::VarDesc& var,
       fp_->config_.num_readers > 0
           ? fp_->config_.num_readers
           : std::max<int>(1, static_cast<int>(fp_->readers_.size()));
-  if (!step.available) {
-    step.available = std::make_unique<sim::Event>(*fp_->engine_);
-  }
-  step.available->set();
+  step.available.set();
   co_return Status::ok();
 }
 
-void Flexpath::Writer::release_step(int step) {
-  auto it = steps_.find(step);
+Flexpath::Writer::Step& Flexpath::Writer::find_or_add_step(int version) {
+  auto it = std::find_if(steps_.begin(), steps_.end(),
+                         [&](const auto& s) { return s->version >= version; });
+  if (it != steps_.end() && (*it)->version == version) return **it;
+  auto step = std::make_unique<Step>(*fp_->engine_);
+  step->version = version;
+  return **steps_.insert(it, std::move(step));
+}
+
+void Flexpath::Writer::release_step(int version) {
+  auto it = std::find_if(steps_.begin(), steps_.end(),
+                         [&](const auto& s) { return s->version == version; });
   if (it == steps_.end()) return;
-  if (--it->second.remaining_releases > 0) return;
-  memory_->free(mem::Tag::kStaging, it->second.bytes);
+  if (--(*it)->remaining_releases > 0) return;
+  memory_->free(mem::Tag::kStaging, (*it)->bytes);
   steps_.erase(it);
   queue_slots_->release();
 }
 
 void Flexpath::Writer::close() {
   if (!open_) return;
-  for (auto& [step, entry] : steps_) {
-    memory_->free(mem::Tag::kStaging, entry.bytes);
+  for (const auto& step : steps_) {
+    memory_->free(mem::Tag::kStaging, step->bytes);
   }
   steps_.clear();
-  fp_->writers_.erase(self_.pid);
+  fp_->set_writer(self_.pid, nullptr);
   fp_->transport_->disconnect_all(self_);
   memory_->free(mem::Tag::kLibrary, fp_->config_.client_base_bytes);
   open_ = false;
@@ -126,7 +151,7 @@ sim::Task<Status> Flexpath::Reader::open(const std::string& group) {
 }
 
 sim::Task<Status> Flexpath::Reader::ensure_connected(Writer& writer) {
-  if (formats_fetched_[writer.self_.pid]) co_return Status::ok();
+  if (handshake_done(writer)) co_return Status::ok();
   fault::Injector* injector = fault::active();
   if (injector == nullptr) {
     // No fault plan bound: fail fast, as EVPath does when the peer is
@@ -154,7 +179,9 @@ sim::Task<Status> Flexpath::Reader::connect_once(Writer& writer) {
       !st.is_ok()) {
     co_return st;
   }
-  formats_fetched_[writer.self_.pid] = true;
+  const auto slot = static_cast<std::size_t>(writer.slot_);
+  if (slot >= handshakes_.size()) handshakes_.resize(slot + 1);
+  handshakes_[slot] = true;
   co_return Status::ok();
 }
 
@@ -165,28 +192,23 @@ sim::Task<Result<nda::Slab>> Flexpath::Reader::read_step(
   }
   std::vector<nda::Slab> pieces;
   std::uint64_t covered = 0;
-  // Snapshot the writer set (stable during a coupled run).
-  std::vector<Writer*> writers;
-  writers.reserve(fp_->writers_.size());
-  for (auto& [pid, writer] : fp_->writers_) writers.push_back(writer);
+  // The writer set this read starts with (stable during a coupled run).
+  const std::shared_ptr<const std::vector<Writer*>> writers = fp_->writers_;
 
   const trace::Track track{self_.node->id(), self_.pid};
-  for (Writer* writer : writers) {
-    // Wait until the writer published this step.
+  for (Writer* writer : *writers) {
+    // Wait until the writer published this step, whether or not it holds
+    // part of the box: every reader waits on every writer, in pid order.
     trace::Span fetch = trace::span("flexpath.fetch", track);
-    auto [it, inserted] = writer->steps_.try_emplace(var.version);
-    if (!it->second.available) {
-      it->second.available = std::make_unique<sim::Event>(*fp_->engine_);
-    }
-    co_await it->second.available->wait();
-    Writer::Step& step = writer->steps_.at(var.version);
+    Writer::Step& step = writer->find_or_add_step(var.version);
+    co_await step.available.wait();
 
-    auto overlap = nda::intersect(step.slab.box(), box);
-    if (!overlap) continue;
+    if (!nda::overlaps(step.slab.box(), box)) continue;
+    const nda::Box overlap = *nda::intersect(step.slab.box(), box);
     if (Status st = co_await ensure_connected(*writer); !st.is_ok()) {
       co_return st;
     }
-    const std::uint64_t bytes = overlap->volume() * nda::kElementBytes;
+    const std::uint64_t bytes = overlap.volume() * nda::kElementBytes;
     fetch.arg("bytes", static_cast<double>(bytes));
 
     // Request event (small), FFS encode at the writer, wire transfer, FFS
@@ -207,8 +229,8 @@ sim::Task<Result<nda::Slab>> Flexpath::Reader::read_step(
     co_await fp_->engine_->sleep(
         serial::Encoder::encode_seconds(bytes, fp_->config_.cpu_speed));
 
-    pieces.push_back(step.slab.extract(*overlap));
-    covered += overlap->volume();
+    pieces.push_back(step.slab.extract(overlap));
+    covered += overlap.volume();
   }
 
   if (covered < box.volume()) {
@@ -221,11 +243,9 @@ sim::Task<Result<nda::Slab>> Flexpath::Reader::read_step(
 }
 
 sim::Task<Status> Flexpath::Reader::release_step(int step) {
-  std::vector<Writer*> writers;
-  writers.reserve(fp_->writers_.size());
-  for (auto& [pid, writer] : fp_->writers_) writers.push_back(writer);
-  for (Writer* writer : writers) {
-    if (formats_fetched_[writer->self_.pid]) {
+  const std::shared_ptr<const std::vector<Writer*>> writers = fp_->writers_;
+  for (Writer* writer : *writers) {
+    if (handshake_done(*writer)) {
       net::TransferOptions opts;
       opts.src_pinned = true;
       opts.dst_pinned = true;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,22 +81,32 @@ class Flexpath {
     friend class Flexpath;
     friend class Reader;
 
+    // A published step, or the placeholder a reader created to wait for it.
     struct Step {
+      explicit Step(sim::Engine& engine) : available(engine) {}
+      int version = 0;
       nda::VarDesc var;
       nda::Slab slab;
       std::uint64_t bytes = 0;
       int remaining_releases = 0;
-      std::unique_ptr<sim::Event> available;
+      sim::Event available;
     };
 
-    void release_step(int step);
+    // The step of `version`, created as a placeholder when absent.
+    Step& find_or_add_step(int version);
+    void release_step(int version);
 
     Flexpath* fp_;
     net::Endpoint self_;
     mem::ProcessMemory* memory_;
     std::unique_ptr<sim::Semaphore> queue_slots_;
-    std::map<int, Step> steps_;
+    // Live steps in version order: at most queue_size published ones plus
+    // placeholders, so a lookup scans. Each is held by pointer, so inserts
+    // and erases never move one: a reader keeps a Step& across the
+    // co_awaits of its fetch.
+    std::vector<std::unique_ptr<Step>> steps_;
     int format_id_ = -1;
+    int slot_ = -1;  // index into every reader's handshake flags
     bool open_ = false;
   };
 
@@ -111,8 +120,9 @@ class Flexpath {
     // with each writer, fetches its FFS format description.
     sim::Task<Status> open(const std::string& group);
 
-    // Pulls the requested box of step var.version, assembling from every
-    // intersecting writer. Blocks until those writers published the step.
+    // Pulls the requested box of step var.version. Waits, in pid order, for
+    // every writer to publish the step, and fetches from those whose slab
+    // intersects the box.
     sim::Task<Result<nda::Slab>> read_step(const nda::VarDesc& var,
                                            const nda::Box& box);
 
@@ -129,10 +139,15 @@ class Flexpath {
     sim::Task<Status> ensure_connected(Writer& writer);
     sim::Task<Status> connect_once(Writer& writer);
 
+    bool handshake_done(const Writer& writer) const {
+      const auto slot = static_cast<std::size_t>(writer.slot_);
+      return slot < handshakes_.size() && handshakes_[slot];
+    }
+
     Flexpath* fp_;
     net::Endpoint self_;
     mem::ProcessMemory* memory_;
-    std::map<int, bool> formats_fetched_;  // writer pid -> handshake done
+    std::vector<bool> handshakes_;  // by writer slot: format fetched
     bool open_ = false;
   };
 
@@ -142,12 +157,19 @@ class Flexpath {
 
   static constexpr std::uint64_t kCtrlBytes = 96;  // EVPath event header
 
+  // Registers `writer` under `pid`, or unregisters pid when null.
+  void set_writer(int pid, Writer* writer);
+
   sim::Engine* engine_;
   hpc::Cluster* cluster_;
   net::Transport* transport_;
   Config config_;
   serial::FormatRegistry formats_;
-  std::map<int, Writer*> writers_;  // pid -> writer (connection manager)
+  // Open writers in pid order (the connection manager). Replaced, never
+  // modified, so a read or release walks the set it started with without
+  // copying it.
+  std::shared_ptr<const std::vector<Writer*>> writers_;
+  int writer_slots_ = 0;  // slots handed out to writers so far
   std::vector<Reader*> readers_;
 };
 

@@ -37,8 +37,7 @@ class RdmaPool {
 
   // `owner` tags the registration in the leak auditor; acquire/release pairs
   // must use the same tag.
-  Status register_memory(std::uint64_t size,
-                         const std::string& owner = "untagged") {
+  Status register_memory(std::uint64_t size, audit::Owner& owner) {
     if (handlers_used_ + 1 > handler_capacity_) {
       return make_error(ErrorCode::kOutOfRdmaHandlers,
                         "RDMA memory-handler cap reached (" +
@@ -60,13 +59,23 @@ class RdmaPool {
     return Status::ok();
   }
 
-  void deregister(std::uint64_t size, const std::string& owner = "untagged") {
+  void deregister(std::uint64_t size, audit::Owner& owner) {
     const std::uint64_t handlers = std::min<std::uint64_t>(1, handlers_used_);
     const std::uint64_t bytes = std::min(size, bytes_used_);
     handlers_used_ -= handlers;
     bytes_used_ -= bytes;
     audit::release(audit::Resource::kRdmaHandlers, owner, handlers);
     audit::release(audit::Resource::kRdmaBytes, owner, bytes);
+  }
+
+  // Untagged registrations, resolved by text on every call.
+  Status register_memory(std::uint64_t size) {
+    audit::Owner untagged("untagged");
+    return register_memory(size, untagged);
+  }
+  void deregister(std::uint64_t size) {
+    audit::Owner untagged("untagged");
+    deregister(size, untagged);
   }
 
   std::uint64_t bytes_used() const { return bytes_used_; }

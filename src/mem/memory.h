@@ -86,9 +86,10 @@ class ProcessMemory {
       : engine_(&engine), name_(std::move(name)), node_(node) {
     by_tag_.fill(0);
 #if IMC_CHECK_ENABLED
+    audit_owner_ = audit::Owner(name_);
     for (int i = 0; i < kTagCount; ++i) {
-      audit_owners_[static_cast<std::size_t>(i)] =
-          name_ + "/" + std::string(to_string(static_cast<Tag>(i)));
+      tag_owners_[static_cast<std::size_t>(i)] = audit::Owner(
+          name_ + "/" + std::string(to_string(static_cast<Tag>(i))));
     }
 #endif
   }
@@ -101,7 +102,7 @@ class ProcessMemory {
     by_tag_[static_cast<int>(tag)] += bytes;
     total_ += bytes;
     peak_ = std::max(peak_, total_);
-    audit::acquire(audit::Resource::kProcessBytes, audit_owner(tag), bytes);
+    audit::acquire(audit::Resource::kProcessBytes, tag_owner(tag), bytes);
     record();
     return Status::ok();
   }
@@ -112,7 +113,7 @@ class ProcessMemory {
     slot -= bytes;
     total_ -= bytes;
     if (node_ != nullptr) node_->release(bytes);
-    audit::release(audit::Resource::kProcessBytes, audit_owner(tag), bytes);
+    audit::release(audit::Resource::kProcessBytes, tag_owner(tag), bytes);
     record();
   }
 
@@ -123,6 +124,9 @@ class ProcessMemory {
   std::uint64_t peak() const { return peak_; }
   const std::string& name() const { return name_; }
   NodeMemory* node() const { return node_; }
+  // The process itself as an audit owner, tagged by its name: what staging
+  // libraries charge the objects and RDMA registrations it holds to.
+  audit::Owner& audit_owner() { return audit_owner_; }
 
   const std::vector<Sample>& timeline() const { return timeline_; }
 
@@ -132,9 +136,9 @@ class ProcessMemory {
   }
 
  private:
-  // The audit ledger's "name/tag" owner key, built once per tag.
-  const std::string& audit_owner(Tag tag) const {
-    return audit_owners_[static_cast<std::size_t>(tag)];
+  // The audit ledger's "name/tag" owner, built once per tag.
+  audit::Owner& tag_owner(Tag tag) {
+    return tag_owners_[static_cast<std::size_t>(tag)];
   }
 
   void record() {
@@ -176,7 +180,9 @@ class ProcessMemory {
   sim::Engine* engine_;
   std::string name_;
   std::string trace_name_;  // lazily built "mem.<name>" gauge key
-  std::array<std::string, kTagCount> audit_owners_;  // empty without IMC_CHECK
+  // Audit owners, with empty text without IMC_CHECK.
+  audit::Owner audit_owner_;
+  std::array<audit::Owner, kTagCount> tag_owners_;
   NodeMemory* node_;
   std::array<std::uint64_t, kTagCount> by_tag_{};
   std::array<std::uint64_t, kTagCount> peak_by_tag_{};

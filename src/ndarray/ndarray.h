@@ -149,6 +149,17 @@ struct Box {
 
 std::optional<Box> intersect(const Box& a, const Box& b);
 
+// Whether intersect(a, b) has a value, without building the intersection.
+inline bool overlaps(const Box& a, const Box& b) {
+  if (a.dims() != b.dims()) return false;
+  for (std::size_t d = 0; d < a.lb.size(); ++d) {
+    if (std::max(a.lb[d], b.lb[d]) >= std::min(a.ub[d], b.ub[d])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // The real libraries carried 32-bit dimension arithmetic for years (Table IV
 // "data dimension overflow"); this checker reports when a global geometry
 // would overflow it, so the compat mode of the libraries can reproduce the

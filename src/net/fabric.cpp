@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "fault/fault.h"
-#include "trace/trace.h"
 
 namespace imc::net {
 namespace {
@@ -68,8 +67,8 @@ double Fabric::reserve_transfer(hpc::Node& src, hpc::Node& dst,
   return std::max(ingress_end, egress_end + lat);
 }
 
-sim::Task<> Fabric::transfer(hpc::Node& src, hpc::Node& dst,
-                             std::uint64_t bytes, double bandwidth_cap) {
+Fabric::Transfer Fabric::transfer(hpc::Node& src, hpc::Node& dst,
+                                  std::uint64_t bytes, double bandwidth_cap) {
   const double now = engine_->now();
   const double done_at = reserve_transfer(src, dst, bytes, bandwidth_cap);
   trace::Span span = trace::span("fabric.transfer", trace::Track{src.id(), 0});
@@ -88,7 +87,7 @@ sim::Task<> Fabric::transfer(hpc::Node& src, hpc::Node& dst,
     span.arg("hops", hop_count(src, dst));
     span.arg("contention_wait", std::max(0.0, (done_at - now) - ideal));
   }
-  co_await engine_->sleep(done_at - engine_->now());
+  return Transfer(engine_->sleep(done_at - now), std::move(span));
 }
 
 }  // namespace imc::net

@@ -19,12 +19,14 @@
 #pragma once
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
+#include <utility>
 
 #include "hpc/cluster.h"
 #include "hpc/machine.h"
 #include "sim/engine.h"
-#include "sim/task.h"
+#include "trace/trace.h"
 
 namespace imc::net {
 
@@ -35,11 +37,30 @@ class Fabric {
 
   const hpc::MachineConfig& config() const { return *config_; }
 
-  // Completes when the last byte arrives. `bandwidth_cap` (bytes/s) lowers
-  // the stream rate below the NIC injection bandwidth (used by the socket
-  // transport's copy ceiling); 0 means NIC-limited.
-  sim::Task<> transfer(hpc::Node& src, hpc::Node& dst, std::uint64_t bytes,
-                       double bandwidth_cap = 0);
+  // Awaiter of transfer(): the engine sleep until the last byte arrives and
+  // the "fabric.transfer" trace span, which ends on resumption. An awaiter
+  // rather than a coroutine, so a transfer costs its caller no frame.
+  class [[nodiscard]] Transfer {
+   public:
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { sleep_.await_suspend(h); }
+    void await_resume() { span_.end(); }
+
+   private:
+    friend class Fabric;
+    Transfer(sim::Engine::Sleep sleep, trace::Span span)
+        : sleep_(sleep), span_(std::move(span)) {}
+
+    sim::Engine::Sleep sleep_;
+    trace::Span span_;
+  };
+
+  // co_await transfer(...) completes when the last byte arrives; the link
+  // reservations are made when transfer() is called. `bandwidth_cap`
+  // (bytes/s) lowers the stream rate below the NIC injection bandwidth
+  // (used by the socket transport's copy ceiling); 0 means NIC-limited.
+  Transfer transfer(hpc::Node& src, hpc::Node& dst, std::uint64_t bytes,
+                    double bandwidth_cap = 0);
 
   // Timing-only variant returning the completion instant without suspending;
   // transfer() is implemented on top of it.

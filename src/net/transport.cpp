@@ -28,10 +28,8 @@ std::pair<int, int> pair_key(const Endpoint& a, const Endpoint& b) {
   return {std::min(a.pid, b.pid), std::max(a.pid, b.pid)};
 }
 
-// Audit owner tags. Transient registrations pair up within one transfer, so
-// a shared tag suffices; sockets are tagged by connection/pool key so a
-// leaked descriptor names the culprit pair.
-const std::string kTransient = "rdma-transient";
+// Socket audit owner tags: by connection/pool key, so a leaked descriptor
+// names the culprit pair.
 
 std::string conn_owner(std::pair<int, int> key) {
   return "conn:" + std::to_string(key.first) + "-" +
@@ -90,7 +88,7 @@ Status check_nodes_alive(sim::Engine& engine, const Endpoint& from,
 // wait-and-retry for capacity pressure is the libraries' job
 // (DataSpaces::retry_put_prep), not the transport's.
 sim::Task<Status> register_with_flaps(sim::Engine& engine, hpc::Node& node,
-                                      std::uint64_t bytes,
+                                      std::uint64_t bytes, audit::Owner& owner,
                                       std::uint64_t op_key) {
   fault::Injector* injector = fault::active();
   const double p = injector != nullptr ? injector->plan().rdma_flap : 0.0;
@@ -100,7 +98,7 @@ sim::Task<Status> register_with_flaps(sim::Engine& engine, hpc::Node& node,
       !s.is_ok()) {
     co_return s;
   }
-  co_return node.rdma().register_memory(bytes, kTransient);
+  co_return node.rdma().register_memory(bytes, owner);
 }
 
 // Packet loss: each lost attempt costs a retransmit backoff before the
@@ -161,14 +159,16 @@ sim::Task<Status> RdmaTransport::transfer(const Endpoint& from,
   // (if/else rather than `?:` around the co_await: GCC 12 miscompiles a
   // co_await inside a conditional operator.)
   const std::uint64_t reg_bytes = std::min(bytes, kRdmaFragmentBytes);
+  audit::Owner& transient = transient_owner_;
   const bool flaps = may_flap();
   bool src_registered = false;
   if (!opts.src_pinned) {
     Status s;
     if (flaps) {
-      s = co_await register_with_flaps(*engine_, *from.node, reg_bytes, op);
+      s = co_await register_with_flaps(*engine_, *from.node, reg_bytes,
+                                       transient, op);
     } else {
-      s = from.node->rdma().register_memory(reg_bytes, kTransient);
+      s = from.node->rdma().register_memory(reg_bytes, transient);
     }
     if (!s.is_ok()) co_return s;
     src_registered = true;
@@ -178,12 +178,13 @@ sim::Task<Status> RdmaTransport::transfer(const Endpoint& from,
   if (!opts.dst_pinned) {
     Status s;
     if (flaps) {
-      s = co_await register_with_flaps(*engine_, *to.node, reg_bytes, op);
+      s = co_await register_with_flaps(*engine_, *to.node, reg_bytes,
+                                       transient, op);
     } else {
-      s = to.node->rdma().register_memory(reg_bytes, kTransient);
+      s = to.node->rdma().register_memory(reg_bytes, transient);
     }
     if (!s.is_ok()) {
-      if (src_registered) from.node->rdma().deregister(reg_bytes, kTransient);
+      if (src_registered) from.node->rdma().deregister(reg_bytes, transient);
       co_return s;
     }
     trace::count("rdma.transient_registrations");
@@ -192,8 +193,8 @@ sim::Task<Status> RdmaTransport::transfer(const Endpoint& from,
 
   if (may_lose_packets()) {
     if (Status s = co_await retransmit_losses(*engine_, op); !s.is_ok()) {
-      if (src_registered) from.node->rdma().deregister(reg_bytes, kTransient);
-      if (!opts.dst_pinned) to.node->rdma().deregister(reg_bytes, kTransient);
+      if (src_registered) from.node->rdma().deregister(reg_bytes, transient);
+      if (!opts.dst_pinned) to.node->rdma().deregister(reg_bytes, transient);
       co_return s;
     }
   }
@@ -207,8 +208,8 @@ sim::Task<Status> RdmaTransport::transfer(const Endpoint& from,
     co_await fabric_->transfer(*from.node, *to.node, bytes);
   }
 
-  if (src_registered) from.node->rdma().deregister(reg_bytes, kTransient);
-  if (!opts.dst_pinned) to.node->rdma().deregister(reg_bytes, kTransient);
+  if (src_registered) from.node->rdma().deregister(reg_bytes, transient);
+  if (!opts.dst_pinned) to.node->rdma().deregister(reg_bytes, transient);
   co_return Status::ok();
 }
 

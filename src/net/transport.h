@@ -97,6 +97,9 @@ class RdmaTransport final : public Transport {
   Fabric* fabric_;
   TransportKind kind_;
   DrcService* drc_;
+  // Audit owner of transient registrations. They pair up within one
+  // transfer, so one tag per transport suffices.
+  audit::Owner transient_owner_{"rdma-transient"};
 };
 
 // TCP sockets (EVPath "sockets" CM transport / DataSpaces socket build).

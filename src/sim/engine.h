@@ -98,20 +98,22 @@ class Engine {
   }
   void schedule_now(std::coroutine_handle<> h) { schedule_at(now_, h); }
 
+  // Awaiter of sleep(): resumes the awaiting coroutine at wake_at.
+  struct Sleep {
+    Engine* engine;
+    SimTime wake_at;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      engine->schedule_at(wake_at, h);
+    }
+    void await_resume() const noexcept {}
+  };
+
   // co_await engine.sleep(dt): resume dt simulated seconds later. NaN,
   // infinite, or negative dt clamps to 0 and records a process failure.
-  [[nodiscard]] auto sleep(SimTime dt) {
-    struct Awaiter {
-      Engine* engine;
-      SimTime wake_at;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        engine->schedule_at(wake_at, h);
-      }
-      void await_resume() const noexcept {}
-    };
+  [[nodiscard]] Sleep sleep(SimTime dt) {
     const SimTime safe = std::isfinite(dt) && dt >= 0 ? dt : sanitize_dt(dt);
-    return Awaiter{this, now_ + safe};
+    return Sleep{this, now_ + safe};
   }
 
   // co_await engine.yield(): requeue at the current instant, letting other

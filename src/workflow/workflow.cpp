@@ -182,31 +182,28 @@ WriterApp make_writer(const Spec& spec, int rank, bool run_kernel) {
   return app;
 }
 
-// The global domain descriptor of step `version` (rank-independent).
+}  // namespace
+
 nda::VarDesc global_desc(const Spec& spec, int version) {
   return make_writer(spec, 0, false).desc(version);
 }
 
-// The box analytics rank `a` reads: a contiguous share of the dimension the
-// application decomposes over (MSD reads its share of the writer columns;
-// MTA its share of the field columns).
 nda::Box reader_box(const Spec& spec, int a) {
-  const nda::VarDesc desc = global_desc(spec, 0);
-  int dim;
-  switch (spec.app) {
-    case AppSel::kLammps:
-      dim = 1;
-      break;
-    case AppSel::kLaplace:
-      dim = 1;
-      break;
-    case AppSel::kSynthetic:
-      dim = spec.synthetic_match_layout ? 2 : 1;
-      break;
-  }
-  auto boxes = nda::decompose_1d(desc.global, spec.nana, dim);
-  return boxes[static_cast<std::size_t>(a)];
+  const nda::Dims global = global_desc(spec, 0).global;
+  const std::size_t dim =
+      spec.app == AppSel::kSynthetic && spec.synthetic_match_layout ? 2 : 1;
+  // decompose_1d's block `a`: the first extent % nana blocks are one longer.
+  const auto parts = static_cast<std::uint64_t>(spec.nana);
+  const auto index = static_cast<std::uint64_t>(a);
+  const std::uint64_t base = global[dim] / parts;
+  const std::uint64_t rem = global[dim] % parts;
+  nda::Box box = nda::Box::whole(global);
+  box.lb[dim] = index * base + std::min(index, rem);
+  box.ub[dim] = box.lb[dim] + base + (index < rem ? 1 : 0);
+  return box;
 }
+
+namespace {
 
 // Everything one run needs, owned for the run's duration.
 struct Ctx {

@@ -18,6 +18,7 @@
 #include "fault/fault.h"
 #include "hpc/machine.h"
 #include "mem/memory.h"
+#include "ndarray/ndarray.h"
 #include "net/transport.h"
 #include "repl/repl.h"
 #include "sim/engine.h"
@@ -211,5 +212,15 @@ struct RunResult {
 
 // Runs the workflow to completion (or failure) and returns the metrics.
 RunResult run(const Spec& spec);
+
+// The global descriptor of the variable `spec`'s writers output at step
+// `version` (rank-independent).
+nda::VarDesc global_desc(const Spec& spec, int version);
+
+// The box analytics rank `a` reads: a contiguous share of the dimension the
+// application decomposes over (MSD reads its share of the writer columns;
+// MTA its share of the field columns). Equal to block `a` of
+// nda::decompose_1d over that dimension, computed without the others.
+nda::Box reader_box(const Spec& spec, int a);
 
 }  // namespace imc::workflow

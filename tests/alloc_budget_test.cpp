@@ -2,11 +2,12 @@
 //
 // This binary replaces the global operator new/delete (hence a test
 // executable of its own) to count every heap allocation workflow::run makes
-// while LAMMPS output is staged through DataSpaces or DIMES, and bounds the
-// count per simulated engine event. Unlike wall time the count is exact for
-// a given build, so it catches a change that puts heap traffic back on the
-// put/commit/get path — a container built per RPC reply, a node per index
-// bucket, a frame per fault-layer call — even when every digest holds.
+// while LAMMPS output is staged through DataSpaces, DIMES or Flexpath, and
+// bounds the count per simulated engine event. Unlike wall time the count
+// is exact for a given build, so it catches a change that puts heap traffic
+// back on the put/commit/get path — a container built per RPC reply, a node
+// per index bucket, a frame per fault-layer call, a map node per
+// reader-writer pair — even when every digest holds.
 //
 // Each bound is the measured rate with at least 25% headroom. The cost per
 // event is the simulated model (one staged object per server region), so a
@@ -65,15 +66,15 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace imc::workflow {
 namespace {
 
-// Heap allocations per engine event of one LAMMPS Titan run at 64x32
+// Heap allocations per engine event of one LAMMPS Titan run at nsim x nana
 // ranks, measured after a warm-up run has filled the per-thread caches.
-double allocations_per_event(MethodSel method) {
+double allocations_per_event(MethodSel method, int nsim = 64, int nana = 32) {
   Spec spec;
   spec.app = AppSel::kLammps;
   spec.method = method;
   spec.machine = hpc::titan();
-  spec.nsim = 64;
-  spec.nana = 32;
+  spec.nsim = nsim;
+  spec.nana = nana;
   const RunResult warm = run(spec);
   EXPECT_TRUE(warm.ok) << warm.failure_summary();
   const std::uint64_t before = g_allocations.load();
@@ -84,7 +85,8 @@ double allocations_per_event(MethodSel method) {
   EXPECT_GT(counted.events_processed, 0u);
   const double per_event = static_cast<double>(allocations) /
                            static_cast<double>(counted.events_processed);
-  std::cout << to_string(method) << ": " << allocations << " allocations / "
+  std::cout << to_string(method) << " " << nsim << "x" << nana << ": "
+            << allocations << " allocations / "
             << counted.events_processed << " events = " << per_event
             << " per event\n";
   return per_event;
@@ -96,6 +98,19 @@ TEST(AllocBudget, DataSpacesNativeLammpsTitan) {
 
 TEST(AllocBudget, DimesNativeLammpsTitan) {
   EXPECT_LT(allocations_per_event(MethodSel::kDimesNative), 1.05);
+}
+
+TEST(AllocBudget, FlexpathLammpsTitan) {
+  EXPECT_LT(allocations_per_event(MethodSel::kFlexpath), 0.95);
+}
+
+// Every Flexpath reader waits on every writer, so per-pair host state (a
+// map node per reader-writer pair, a writer-set copy per read) makes the
+// rate grow with nsim x nana. Without it the rate falls with scale.
+TEST(AllocBudget, FlexpathRateDoesNotGrowWithScale) {
+  const double small = allocations_per_event(MethodSel::kFlexpath, 64, 32);
+  const double large = allocations_per_event(MethodSel::kFlexpath, 256, 128);
+  EXPECT_LE(large, small);
 }
 
 }  // namespace

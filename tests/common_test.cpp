@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,70 @@ TEST(Auditor, LeakLinesSortedByOwnerWithinEachResource) {
   }
   want.push_back("violation: double unlock");
   EXPECT_EQ(a.leaks(), want);
+}
+
+// An owner's slot points into the ledger that resolved it. reset() drops
+// that ledger's entries, so the slot must be resolved again afterwards.
+TEST(Auditor, OwnerSlotIsNotUsedAfterReset) {
+  audit::Auditor a;
+  audit::Owner owner("rank3/staging");
+  const auto r = audit::Resource::kProcessBytes;
+  a.acquire(r, owner, 10);
+  a.reset();
+  a.acquire(r, owner, 5);
+  EXPECT_EQ(a.outstanding(r), 5u);
+  EXPECT_EQ(a.leaks(), (std::vector<std::string>{
+                           "process-bytes: 5 outstanding (rank3/staging)"}));
+  a.release(r, owner, 5);
+  EXPECT_TRUE(a.clean());
+  a.reset();
+  a.release(r, owner, 5);  // no entry since the reset: clamped to nothing
+  EXPECT_TRUE(a.clean());
+}
+
+// A second Auditor built where the first one was (a sweep world reusing
+// its storage) gets a new id, so a slot resolved under the first is not
+// followed into freed memory.
+TEST(Auditor, OwnerSlotIsNotUsedByANewAuditorAtTheSameAddress) {
+  audit::Owner owner("ds-server-0");
+  const auto r = audit::Resource::kStagedObject;
+  std::optional<audit::Auditor> ledger;
+  ledger.emplace();
+  const audit::Auditor* first = &*ledger;
+  {
+    audit::ScopedAuditor bind(*ledger);
+    audit::global().acquire(r, owner, 4);
+    EXPECT_EQ(ledger->outstanding(r), 4u);
+  }
+  ledger.reset();
+  ledger.emplace();
+  ASSERT_EQ(&*ledger, first);
+  {
+    audit::ScopedAuditor bind(*ledger);
+    audit::global().acquire(r, owner, 3);
+    audit::global().release(r, owner, 1);
+  }
+  EXPECT_EQ(ledger->outstanding(r), 2u);
+  EXPECT_EQ(ledger->leaks(),
+            (std::vector<std::string>{
+                "staged-objects: 2 outstanding (ds-server-0)"}));
+}
+
+// Two pools that tag their charges with equal owner text hold one slot
+// each; both resolve to one ledger entry, so the report has one line with
+// the sum, as it had when every charge was looked up by text.
+TEST(Auditor, EqualOwnerTextFromTwoPoolsPrintsOneSummedLine) {
+  audit::Auditor a;
+  audit::Owner pool_a("rdma-transient");
+  audit::Owner pool_b("rdma-transient");
+  a.acquire(audit::Resource::kRdmaBytes, pool_a, 100);
+  a.acquire(audit::Resource::kRdmaBytes, pool_b, 50);
+  a.acquire(audit::Resource::kRdmaBytes, "rdma-transient", 7);
+  EXPECT_EQ(a.leaks(), (std::vector<std::string>{
+                           "rdma-bytes: 157 outstanding (rdma-transient)"}));
+  a.release(audit::Resource::kRdmaBytes, pool_b, 150);
+  a.release(audit::Resource::kRdmaBytes, pool_a, 7);
+  EXPECT_TRUE(a.clean());
 }
 
 TEST(Status, DefaultIsOk) {

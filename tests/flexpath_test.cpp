@@ -207,6 +207,103 @@ TEST_F(FlexFixture, ManyWritersToFewerReaders) {
   for (const auto& w : writers) EXPECT_EQ(w->queued_steps(), 0);
 }
 
+// Readers at different steps share one writer's step list. While reader A
+// is inside read_step(1), reader B adds the placeholder for step 2 and
+// reader C's release of step 0, the last one, erases that step. A's fetch
+// holds a reference to step 1 across its co_awaits, so the step must not
+// move (ASan reports a dangling reference) and must keep its content.
+TEST_F(FlexFixture, StaggeredReadersKeepStepsInPlace) {
+  Config c;
+  c.queue_size = 2;
+  c.num_readers = 3;
+  c.cpu_speed = 1e-7;  // slow FFS encode/decode: each fetch takes ~2 encodes
+  auto fp = make(c);
+  const Dims dims = {8, 8};
+  const Box whole = Box::whole(dims);
+  constexpr int kSteps = 4;
+  // Dense content that differs per step, so reading another step's memory
+  // (or freed memory) changes the checksum.
+  std::vector<Slab> content;
+  std::vector<double> expect;
+  for (int step = 0; step < kSteps; ++step) {
+    Slab dense = Slab::zeros(whole);
+    dense.fill_from(Slab::synthetic(whole, 100 + static_cast<unsigned>(step)));
+    expect.push_back(dense.checksum());
+    content.push_back(std::move(dense));
+  }
+  const double encode =
+      serial::Encoder::encode_seconds(whole.volume() * nda::kElementBytes,
+                                      c.cpu_speed);
+
+  auto wr = make_rank(1);
+  Flexpath::Writer writer(*fp, wr.ep, *wr.memory);
+  engine.spawn([](Flexpath::Writer& w, Dims dims,
+                  std::vector<Slab> content) -> sim::Task<> {
+    EXPECT_TRUE((co_await w.open("sim")).is_ok());
+    for (int step = 0; step < static_cast<int>(content.size()); ++step) {
+      VarDesc var{"u", dims, step};
+      const Slab& slab = content[static_cast<std::size_t>(step)];
+      EXPECT_TRUE((co_await w.write_step(var, slab)).is_ok());
+    }
+  }(writer, dims, content));
+
+  struct Times {
+    double read_start = -1, read_end = -1, released = -1;
+  };
+  std::vector<Rank> rranks;
+  std::vector<std::unique_ptr<Flexpath::Reader>> readers;
+  std::vector<std::vector<Times>> times(3, std::vector<Times>(kSteps));
+  // Earliest start of each step's read, per reader (0: right away).
+  const std::vector<std::vector<double>> starts = {
+      {0, 3 * encode, 0, 0},    // A: reads step 1 while B and C act
+      {0, 0, 0, 0},             // B: runs ahead to step 2's placeholder
+      {2.5 * encode, 0, 0, 0},  // C: releases step 0 last
+  };
+  for (int i = 0; i < 3; ++i) {
+    rranks.push_back(make_rank(20 + i, 1));
+    readers.push_back(std::make_unique<Flexpath::Reader>(
+        *fp, rranks.back().ep, *rranks.back().memory));
+    engine.spawn([](sim::Engine& e, Flexpath::Reader& r, Dims dims,
+                    std::vector<double> starts, std::vector<double> expect,
+                    std::vector<Times>& times) -> sim::Task<> {
+      co_await e.sleep(1e-6);
+      EXPECT_TRUE((co_await r.open("sim")).is_ok());
+      for (int step = 0; step < static_cast<int>(starts.size()); ++step) {
+        const auto s = static_cast<std::size_t>(step);
+        if (starts[s] > e.now()) co_await e.sleep(starts[s] - e.now());
+        times[s].read_start = e.now();
+        VarDesc var{"u", dims, step};
+        auto got = co_await r.read_step(var, Box::whole(dims));
+        times[s].read_end = e.now();
+        EXPECT_TRUE(got.has_value()) << got.status();
+        if (got.has_value()) {
+          EXPECT_EQ(got->checksum(), expect[s]) << step;
+        }
+        EXPECT_TRUE((co_await r.release_step(step)).is_ok());
+        times[s].released = e.now();
+      }
+    }(engine, *readers.back(), dims, starts[static_cast<std::size_t>(i)],
+      expect, times[static_cast<std::size_t>(i)]));
+  }
+  run_all();
+
+  // The interleaving happened: A's read of step 1 spans B's wait on the
+  // step-2 placeholder starting and C's last release of step 0, and B's
+  // wait ends only after that release freed the writer's queue slot.
+  const auto& a = times[0];
+  const auto& b = times[1];
+  const auto& cr = times[2];
+  EXPECT_LT(a[1].read_start, b[2].read_start);
+  EXPECT_LT(b[2].read_start, cr[0].released);
+  EXPECT_LT(cr[0].released, a[1].read_end);
+  EXPECT_GT(b[2].read_end, cr[0].released);
+  for (const auto& reader : times) {
+    for (const Times& t : reader) EXPECT_GE(t.released, 0);
+  }
+  EXPECT_EQ(writer.queued_steps(), 0);
+  EXPECT_EQ(wr.memory->current(mem::Tag::kStaging), 0u);
+}
+
 TEST_F(FlexFixture, FormatHandshakeHappensOncePerWriter) {
   auto fp = make();
   auto wr = make_rank(1);

@@ -58,6 +58,43 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// reader_box computes one reader's share on its own; it must be exactly
+// that reader's block of the whole decomposition, also when the extent
+// does not divide evenly and for every application layout.
+TEST(ReaderBox, EqualsItsBlockOfDecompose1d) {
+  struct Layout {
+    AppSel app;
+    bool match_layout;
+    int dim;  // the dimension the application decomposes over
+  };
+  for (const Layout layout : {Layout{AppSel::kLammps, false, 1},
+                              Layout{AppSel::kLaplace, false, 1},
+                              Layout{AppSel::kSynthetic, false, 1},
+                              Layout{AppSel::kSynthetic, true, 2}}) {
+    for (int nana : {1, 3, 4, 7}) {
+      Spec spec = small_spec(layout.app, MethodSel::kDataspacesNative);
+      spec.nsim = 10;
+      spec.nana = nana;
+      spec.lammps_atoms_per_proc = 7;
+      spec.laplace_rows = 6;
+      spec.laplace_cols_per_proc = 5;
+      spec.synthetic_match_layout = layout.match_layout;
+      spec.synthetic_elements_per_proc = 5 * 512 * 5;
+      const nda::Dims global = global_desc(spec, 0).global;
+      const auto extent = global[static_cast<std::size_t>(layout.dim)];
+      if (nana > 1) {
+        ASSERT_NE(extent % static_cast<std::uint64_t>(nana), 0u);
+      }
+      const auto boxes = nda::decompose_1d(global, nana, layout.dim);
+      for (int a = 0; a < nana; ++a) {
+        EXPECT_EQ(reader_box(spec, a), boxes[static_cast<std::size_t>(a)])
+            << to_string(layout.app) << " match=" << layout.match_layout
+            << " nana=" << nana << " a=" << a;
+      }
+    }
+  }
+}
+
 TEST(Workflow, MsdIsComputedFromRealKernelData) {
   // With materialized content the MSD after some MD steps must be > 0 (the
   // melt actually moves atoms).
