@@ -3,6 +3,8 @@
 // itself and as a regression guard for the paper-scale sweeps.
 #include <benchmark/benchmark.h>
 
+#include "apps/analysis.h"
+#include "apps/kernels.h"
 #include "bench_util.h"
 #include "common/hilbert.h"
 #include "dataspaces/dataspaces.h"
@@ -425,6 +427,28 @@ void BM_FabricReserve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FabricReserve);
+
+// The Laplace analytics' cost per call: MTA over one 512 x 1024 reader slab
+// (a laplace-content reader at 512^2 per rank), 2048 samples, through the
+// world's plan, which every call after the first reuses. The tiled slab
+// repeats a 48 x 48 Jacobi grid, as kernel-backed writers stage it; the
+// synthetic one is what paper-scale readers assemble.
+void BM_MomentAnalysis(benchmark::State& state, bool tiled) {
+  const nda::Box box({0, 1024}, {512, 2048});
+  apps::JacobiLaplace kernel(apps::JacobiLaplace::Params{48, 48, 100.0});
+  kernel.sweep(4);
+  const nda::Slab field = tiled ? nda::Slab::tiled(box, {48, 48}, kernel.grid())
+                                : nda::Slab::synthetic(box, 11);
+  apps::SamplePlans plans;
+  for (auto _ : state) {
+    const std::vector<double> moments =
+        apps::moment_analysis(field, 4, 2048, plans);
+    benchmark::DoNotOptimize(moments.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2048);
+}
+BENCHMARK_CAPTURE(BM_MomentAnalysis, tiled, true);
+BENCHMARK_CAPTURE(BM_MomentAnalysis, synthetic, false);
 
 // End-to-end simulated put/get pair through DataSpaces (one writer, one
 // reader, 64 KiB objects) — the per-operation cost that bounds how large a

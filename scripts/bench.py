@@ -81,7 +81,7 @@ SWEEP_SCALING_THREADS = (2, 4, 8)
 
 MICRO_FILTER = ("BM_BoxQuery|BM_SlabCopy|BM_SlabFillSynthetic|"
                 "BM_EngineSameInstantChurn|BM_EngineEventThroughput|"
-                "BM_TraceSpan|BM_ProfTimer")
+                "BM_TraceSpan|BM_ProfTimer|BM_MomentAnalysis")
 
 # (derived key, numerator bench, denominator bench): speedup = num / den.
 SPEEDUPS = [

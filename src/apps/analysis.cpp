@@ -1,38 +1,53 @@
 #include "apps/analysis.h"
 
+#include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.h"
 
 namespace imc::apps {
 namespace {
 
-// Deterministic coordinate sampler over a box (excluding given leading-axis
-// handling; callers build full coordinates).
-std::vector<nda::Dims> sample_coords(const nda::Box& box, int max_samples,
-                                     std::uint64_t seed) {
-  std::vector<nda::Dims> out;
-  const std::uint64_t volume = box.volume();
-  if (volume == 0) return out;
-  Rng rng(seed);
-  const std::uint64_t n =
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(max_samples), volume);
-  out.reserve(n);
-  for (std::uint64_t s = 0; s < n; ++s) {
-    nda::Dims coord(box.lb.size());
-    for (std::size_t d = 0; d < coord.size(); ++d) {
-      coord[d] = box.lb[d] + rng.next_below(box.extent(static_cast<int>(d)));
-    }
-    out.push_back(std::move(coord));
-  }
-  return out;
-}
+// Each analysis draws its points from its own fixed seed.
+constexpr std::uint64_t kMsdSeed = 0xD15;
+constexpr std::uint64_t kMtaSeed = 0x47a;
 
 }  // namespace
 
+SamplePlan::SamplePlan(const nda::Dims& extents, int max_samples,
+                       std::uint64_t seed)
+    : extents_(extents), max_samples_(max_samples), seed_(seed) {
+  if (max_samples < 0) {
+    throw std::invalid_argument("apps::SamplePlan: negative sample count " +
+                                std::to_string(max_samples));
+  }
+  std::uint64_t volume = 1;
+  for (std::uint64_t extent : extents) volume *= extent;
+  if (extents.empty() || volume == 0) return;
+  size_ = std::min(static_cast<std::uint64_t>(max_samples), volume);
+  offsets_.reserve(size_ * extents.size());
+  Rng rng(seed);
+  for (std::size_t s = 0; s < size_; ++s) {
+    for (std::uint64_t extent : extents) {
+      offsets_.push_back(rng.next_below(extent));
+    }
+  }
+}
+
+const SamplePlan& SamplePlans::get(const nda::Dims& extents, int max_samples,
+                                   std::uint64_t seed) {
+  for (const auto& plan : plans_) {
+    if (plan->matches(extents, max_samples, seed)) return *plan;
+  }
+  return *plans_.emplace_back(
+      std::make_unique<const SamplePlan>(extents, max_samples, seed));
+}
+
 double mean_squared_displacement(const nda::Slab& reference,
-                                 const nda::Slab& current, int max_samples) {
+                                 const nda::Slab& current, int max_samples,
+                                 SamplePlans& plans) {
   assert(reference.box() == current.box());
   const nda::Box& box = reference.box();
   assert(box.dims() == 3 && box.lb[0] == 0 && box.ub[0] >= 3);
@@ -42,39 +57,48 @@ double mean_squared_displacement(const nda::Slab& reference,
   }
 
   // Sample (proc, atom) pairs; read x/y/z from axis 0.
-  nda::Box particle_box;
-  particle_box.lb = {box.lb[1], box.lb[2]};
-  particle_box.ub = {box.ub[1], box.ub[2]};
-  auto samples = sample_coords(particle_box, max_samples, /*seed=*/0xD15ul);
-  if (samples.empty()) return 0.0;
-
-  double sum = 0;
-  for (const auto& pa : samples) {
-    double d2 = 0;
-    for (std::uint64_t axis = 0; axis < 3; ++axis) {
-      const nda::Dims coord = {axis, pa[0], pa[1]};
-      const double delta = current.at(coord) - reference.at(coord);
-      d2 += delta * delta;
+  const SamplePlan& plan =
+      plans.get({box.extent(1), box.extent(2)}, max_samples, kMsdSeed);
+  const std::size_t n = plan.size();
+  if (n == 0) return 0.0;
+  // d2[s] adds pair s's squared x, y, z deltas in axis order, then the
+  // pairs are summed in plan order: every addition a loop over the pairs
+  // makes, in the same order.
+  std::vector<double> buffer(3 * n, 0.0);
+  double* const d2 = buffer.data();
+  double* const cur = d2 + n;
+  double* const ref = cur + n;
+  for (std::uint64_t axis = 0; axis < 3; ++axis) {
+    const nda::Dims origin = {axis, box.lb[1], box.lb[2]};
+    current.read_points(origin, plan.offsets(), 2, cur);
+    reference.read_points(origin, plan.offsets(), 2, ref);
+    for (std::size_t s = 0; s < n; ++s) {
+      const double delta = cur[s] - ref[s];
+      d2[s] += delta * delta;
     }
-    sum += d2;
   }
-  return sum / static_cast<double>(samples.size());
+  double sum = 0;
+  for (std::size_t s = 0; s < n; ++s) sum += d2[s];
+  return sum / static_cast<double>(n);
 }
 
 std::vector<double> moment_analysis(const nda::Slab& field, int max_order,
-                                    int max_samples) {
-  auto samples = sample_coords(field.box(), max_samples, /*seed=*/0x47aul);
-  std::vector<double> moments(static_cast<std::size_t>(max_order) - 1, 0.0);
-  if (samples.empty()) return moments;
-
-  double mean = 0;
-  std::vector<double> values;
-  values.reserve(samples.size());
-  for (const auto& coord : samples) {
-    values.push_back(field.at(coord));
-    mean += values.back();
+                                    int max_samples, SamplePlans& plans) {
+  const nda::Box& box = field.box();
+  nda::Dims extents(box.lb.size());
+  for (std::size_t d = 0; d < extents.size(); ++d) {
+    extents[d] = box.ub[d] - box.lb[d];
   }
-  mean /= static_cast<double>(values.size());
+  const SamplePlan& plan = plans.get(extents, max_samples, kMtaSeed);
+  std::vector<double> moments(static_cast<std::size_t>(max_order) - 1, 0.0);
+  const std::size_t n = plan.size();
+  if (n == 0) return moments;
+
+  std::vector<double> values(n);
+  field.read_points(box.lb, plan.offsets(), extents.size(), values.data());
+  double mean = 0;
+  for (double v : values) mean += v;
+  mean /= static_cast<double>(n);
 
   for (double v : values) {
     double power = (v - mean) * (v - mean);
@@ -83,8 +107,20 @@ std::vector<double> moment_analysis(const nda::Slab& field, int max_order,
       power *= (v - mean);
     }
   }
-  for (auto& m : moments) m /= static_cast<double>(values.size());
+  for (auto& m : moments) m /= static_cast<double>(n);
   return moments;
+}
+
+double mean_squared_displacement(const nda::Slab& reference,
+                                 const nda::Slab& current, int max_samples) {
+  SamplePlans plans;
+  return mean_squared_displacement(reference, current, max_samples, plans);
+}
+
+std::vector<double> moment_analysis(const nda::Slab& field, int max_order,
+                                    int max_samples) {
+  SamplePlans plans;
+  return moment_analysis(field, max_order, max_samples, plans);
 }
 
 }  // namespace imc::apps

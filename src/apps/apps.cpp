@@ -72,15 +72,20 @@ double msd_titan_seconds_per_step(std::uint64_t bytes_processed) {
 
 // ------------------------------------------------------------ Laplace -----
 
-LaplaceSim::LaplaceSim(Params params) : params_(params) {
-  if (my_box().volume() <= kMaterializeCapElems) {
-    kernel_.emplace(
-        JacobiLaplace::Params{params.kernel_n, params.kernel_n, 100.0});
-  }
+LaplaceSim::LaplaceSim(Params params, std::shared_ptr<LaplaceKernel> kernel)
+    : params_(params) {
+  if (my_box().volume() > kMaterializeCapElems) return;
+  kernel_ =
+      kernel ? std::move(kernel) : std::make_shared<LaplaceKernel>(params);
 }
 
 void LaplaceSim::advance() {
-  if (kernel_) kernel_->sweep(params_.sweeps_per_output);
+  if (kernel_) kernel_->state(++steps_);  // sweeps unless a rank did
+}
+
+const JacobiLaplace& LaplaceSim::kernel() const {
+  if (!kernel_) throw std::bad_optional_access();
+  return kernel_->state(steps_);
 }
 
 nda::VarDesc LaplaceSim::output_desc(int version) const {
@@ -99,14 +104,8 @@ nda::Box LaplaceSim::my_box() const {
 
 nda::Slab LaplaceSim::output(int version) const {
   (void)version;
-  const nda::Box box = my_box();
-  if (!kernel_) return nda::Slab::synthetic(box, params_.seed);
-  // The field tiles the kernel grid: element (i, j) is
-  // kernel.at(i mod nx, j mod ny).
-  return nda::Slab::tiled(box,
-                          {static_cast<std::uint64_t>(kernel_->nx()),
-                           static_cast<std::uint64_t>(kernel_->ny())},
-                          kernel_->grid());
+  if (!kernel_) return nda::Slab::synthetic(my_box(), params_.seed);
+  return kernel_->field(steps_, my_box());
 }
 
 double LaplaceSim::titan_seconds_per_step() const {
@@ -120,6 +119,37 @@ double LaplaceSim::titan_seconds_per_step() const {
 double mta_titan_seconds_per_step(std::uint64_t bytes_processed) {
   return kMtaSecondsPerMiB * static_cast<double>(bytes_processed) /
          static_cast<double>(kMiB);
+}
+
+LaplaceKernel::LaplaceKernel(const LaplaceSim::Params& params)
+    : params_(params) {}
+
+const LaplaceKernel::Step& LaplaceKernel::step(std::size_t steps) {
+  const int n = params_.kernel_n;
+  while (steps_.size() <= steps) {
+    JacobiLaplace state = steps_.empty()
+                              ? JacobiLaplace({n, n, 100.0})
+                              : steps_.back()->state;
+    if (!steps_.empty()) state.sweep(params_.sweeps_per_output);
+    // The field tiles the grid: element (i, j) is state.at(i mod n, j mod n).
+    const auto extent = static_cast<std::uint64_t>(n);
+    const nda::Dims global = {
+        params_.rows,
+        static_cast<std::uint64_t>(params_.nprocs) * params_.cols_per_proc};
+    nda::Slab field = nda::Slab::tiled(nda::Box::whole(global),
+                                       {extent, extent}, state.grid());
+    steps_.push_back(
+        std::make_unique<const Step>(Step{std::move(state), std::move(field)}));
+  }
+  return *steps_[steps];
+}
+
+const JacobiLaplace& LaplaceKernel::state(std::size_t steps) {
+  return step(steps).state;
+}
+
+nda::Slab LaplaceKernel::field(std::size_t steps, const nda::Box& box) {
+  return step(steps).field.extract(box);
 }
 
 // ---------------------------------------------------------- Synthetic -----

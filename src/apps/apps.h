@@ -8,7 +8,9 @@
 // the same slab at every step, and it holds no kernel at all. Under the cap
 // the output is a tiled slab (nda::Slab::tiled) whose period block is the
 // kernel state itself, so an output costs a copy of that state, not of the
-// declared slab it repeats over.
+// declared slab it repeats over. Every Laplace rank of a world holds the
+// same state, so the ranks share one kernel (LaplaceKernel) and one block
+// per step.
 //
 // Compute-time calibration. The paper's figures are images, so absolute
 // times are calibrated to the magnitudes its text implies (both workflows
@@ -20,8 +22,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "apps/kernels.h"
 #include "common/rng.h"
@@ -29,6 +33,8 @@
 #include "ndarray/ndarray.h"
 
 namespace imc::apps {
+
+class LaplaceKernel;
 
 // Content cap: per-rank slabs at most this many elements are materialized
 // from the real kernel; larger (paper-scale) slabs are synthetic and have
@@ -100,7 +106,11 @@ class LaplaceSim {
     std::uint64_t seed = 11;
   };
 
-  explicit LaplaceSim(Params params);
+  // A rank that steps `kernel`, the one its world's ranks share, or a
+  // kernel of its own when none is given. `kernel` must be built from the
+  // params of a rank of this world.
+  explicit LaplaceSim(Params params,
+                      std::shared_ptr<LaplaceKernel> kernel = nullptr);
 
   // One coupling step of the real micro-kernel (none without a kernel).
   void advance();
@@ -119,13 +129,49 @@ class LaplaceSim {
   double titan_seconds_per_step() const;
 
   // Whether my_box() fits kMaterializeCapElems, so a kernel was built.
-  bool has_kernel() const { return kernel_.has_value(); }
-  // Throws std::bad_optional_access unless has_kernel().
-  const JacobiLaplace& kernel() const { return kernel_.value(); }
+  bool has_kernel() const { return kernel_ != nullptr; }
+  // The kernel after this rank's advances. Throws std::bad_optional_access
+  // unless has_kernel().
+  const JacobiLaplace& kernel() const;
 
  private:
   Params params_;
-  std::optional<JacobiLaplace> kernel_;
+  std::shared_ptr<LaplaceKernel> kernel_;  // null without a kernel
+  std::size_t steps_ = 0;                  // advance() calls made
+};
+
+// The Jacobi kernel of every rank of one Laplace world. A rank's kernel
+// depends only on kernel_n and the hot boundary, so every rank's grid after
+// k advances is the same: the kernel sweeps once per advance of the
+// furthest rank, and the state after each advance is kept, its grid as one
+// immutable block tiled over the whole field that every rank's output at
+// that step shares. Ranks read the step of their own advance count, since
+// back-pressure and stragglers hold ranks steps apart. It belongs to one
+// world (DESIGN.md §9). Every step stays until the kernel is destroyed, so
+// its memory grows with the advances made: at kernel_n 48 a step holds
+// about 55 KB (the state's grid and next-sweep buffer plus the block), and a
+// world makes Spec::steps advances.
+class LaplaceKernel {
+ public:
+  // The field geometry, kernel_n and sweeps_per_output of a rank of the
+  // world; its rank is not used.
+  explicit LaplaceKernel(const LaplaceSim::Params& params);
+
+  // The kernel after `steps` advances, swept up to there on first request.
+  // References stay valid for the LaplaceKernel's lifetime.
+  const JacobiLaplace& state(std::size_t steps);
+  // The field after `steps` advances over `box`, sharing that step's block.
+  nda::Slab field(std::size_t steps, const nda::Box& box);
+
+ private:
+  struct Step {
+    JacobiLaplace state;
+    nda::Slab field;  // state's grid tiled over the whole field
+  };
+  const Step& step(std::size_t steps);
+
+  LaplaceSim::Params params_;
+  std::vector<std::unique_ptr<const Step>> steps_;  // [k]: after k advances
 };
 
 // Reference MTA analytics cost (per analytics rank per step, Titan).

@@ -339,6 +339,74 @@ double Slab::at(const Dims& coord) const {
   return data_->values[block_offset(coord, data_->period)];
 }
 
+void Slab::read_points(const Dims& origin,
+                       std::span<const std::uint64_t> offsets,
+                       std::size_t rank, double* out) const {
+  const std::size_t nd = box_.lb.size();
+  assert(origin.size() == nd && rank >= 1 && rank <= nd);
+  assert(offsets.size() % rank == 0);
+  const std::size_t lead = nd - rank;
+  for (std::size_t d = 0; d < lead; ++d) {
+    assert(origin[d] >= box_.lb[d] && origin[d] < box_.ub[d]);
+  }
+  const std::uint64_t* const end = offsets.data() + offsets.size();
+  // Global coordinate `lead + k` of the point whose offsets start at p.
+  const auto coord = [&](const std::uint64_t* p, std::size_t k) {
+    const std::size_t d = lead + k;
+    const std::uint64_t c = origin[d] + p[k];
+    assert(c >= box_.lb[d] && c < box_.ub[d]);
+    return c;
+  };
+  if (!materialized_) {
+    // synthetic_value's hash chain: the seed and the leading coordinates
+    // are hashed once for every point.
+    std::uint64_t prefix = splitmix64(seed_);
+    for (std::size_t d = 0; d < lead; ++d) {
+      prefix = splitmix64(prefix ^ origin[d]);
+    }
+    for (const std::uint64_t* p = offsets.data(); p != end; p += rank) {
+      std::uint64_t h = prefix;
+      for (std::size_t k = 0; k < rank; ++k) h = splitmix64(h ^ coord(p, k));
+      *out++ = unit_from_hash(h);
+    }
+    return;
+  }
+  // The row-major offset at() computes: over the box for dense content,
+  // over the period for tiled content, whose coordinates wrap modulo it.
+  const std::vector<double>& values = data_->values;
+  const auto gather = [&](const Dims& shape, auto index) {
+    Dims stride(nd);
+    std::uint64_t step = 1;
+    for (std::size_t d = nd; d-- > 0;) {
+      stride[d] = step;
+      step *= shape[d];
+    }
+    std::uint64_t base = 0;
+    for (std::size_t d = 0; d < lead; ++d) {
+      base += index(origin[d], d) * stride[d];
+    }
+    for (const std::uint64_t* p = offsets.data(); p != end; p += rank) {
+      std::uint64_t off = base;
+      for (std::size_t k = 0; k < rank; ++k) {
+        off += index(coord(p, k), lead + k) * stride[lead + k];
+      }
+      *out++ = values[off];
+    }
+  };
+  if (!is_tiled()) {
+    Dims extents(nd);
+    for (std::size_t d = 0; d < nd; ++d) extents[d] = box_.ub[d] - box_.lb[d];
+    gather(extents, [&](std::uint64_t c, std::size_t d) {
+      return c - box_.lb[d];
+    });
+  } else {
+    const Dims& period = data_->period;
+    gather(period, [&](std::uint64_t c, std::size_t d) {
+      return c % period[d];
+    });
+  }
+}
+
 void Slab::set(const Dims& coord, double value) {
   assert(materialized_);
   own();

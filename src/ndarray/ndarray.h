@@ -45,6 +45,7 @@
 #include <initializer_list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -231,6 +232,13 @@ class Slab {
   // Element at a global coordinate (must lie inside the box).
   double at(const Dims& coord) const;
   void set(const Dims& coord, double value);  // materialized only
+
+  // Many at() calls in one: out[s] = at(origin + point s), where `offsets`
+  // holds the points one after another, `rank` offsets each, added to the
+  // trailing `rank` coordinates of `origin` (the leading ones stay fixed).
+  // Every value is bit-identical to at(); every point must lie in the box.
+  void read_points(const Dims& origin, std::span<const std::uint64_t> offsets,
+                   std::size_t rank, double* out) const;
 
   // Copies the intersection of `src` into this slab (materialized target;
   // any source). A materialized source covering exactly this box is

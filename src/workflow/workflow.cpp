@@ -146,7 +146,21 @@ struct WriterApp {
   }
 };
 
-WriterApp make_writer(const Spec& spec, int rank, bool run_kernel) {
+apps::LaplaceSim::Params laplace_params(const Spec& spec, int rank,
+                                        bool run_kernel) {
+  apps::LaplaceSim::Params p;
+  p.rank = rank;
+  p.nprocs = spec.nsim;
+  p.rows = spec.laplace_rows;
+  p.cols_per_proc = spec.laplace_cols_per_proc;
+  p.kernel_n = run_kernel ? 48 : 8;
+  return p;
+}
+
+// `laplace_kernel` is the world's shared Laplace kernel (Ctx), if any.
+WriterApp make_writer(
+    const Spec& spec, int rank, bool run_kernel,
+    std::shared_ptr<apps::LaplaceKernel> laplace_kernel = nullptr) {
   WriterApp app;
   app.kind = spec.app;
   switch (spec.app) {
@@ -159,16 +173,10 @@ WriterApp make_writer(const Spec& spec, int rank, bool run_kernel) {
       app.lammps = std::make_unique<apps::LammpsSim>(p);
       break;
     }
-    case AppSel::kLaplace: {
-      apps::LaplaceSim::Params p;
-      p.rank = rank;
-      p.nprocs = spec.nsim;
-      p.rows = spec.laplace_rows;
-      p.cols_per_proc = spec.laplace_cols_per_proc;
-      p.kernel_n = run_kernel ? 48 : 8;
-      app.laplace = std::make_unique<apps::LaplaceSim>(p);
+    case AppSel::kLaplace:
+      app.laplace = std::make_unique<apps::LaplaceSim>(
+          laplace_params(spec, rank, run_kernel), std::move(laplace_kernel));
       break;
-    }
     case AppSel::kSynthetic: {
       apps::SyntheticWriter::Params p;
       p.rank = rank;
@@ -247,6 +255,10 @@ struct Ctx {
   std::unique_ptr<sim::Event> writers_ready;
 
   bool run_kernel = false;
+  // Per-world memos (DESIGN.md §9 rule 3): the analytics' sample plans, and
+  // the one kernel every Laplace writer rank steps.
+  apps::SamplePlans sample_plans;
+  std::shared_ptr<apps::LaplaceKernel> laplace_kernel;
 
   net::Endpoint sim_ep(int r) {
     return net::Endpoint{1000 + r, /*job=*/0,
@@ -292,7 +304,8 @@ net::TransportKind resolve_transport(const Spec& spec) {
 sim::Task<> sim_rank(Ctx& ctx, int r) {
   const Spec& spec = ctx.spec;
   mem::ProcessMemory& memory = *ctx.sim_mem[static_cast<std::size_t>(r)];
-  WriterApp app = make_writer(spec, r, ctx.run_kernel);
+  WriterApp app =
+      make_writer(spec, r, ctx.run_kernel, ctx.laplace_kernel);
 
   Status state_status;
   mem::ScopedAlloc state(memory, mem::Tag::kCalculation, app.state_bytes(),
@@ -578,11 +591,13 @@ sim::Task<> ana_rank(Ctx& ctx, int a) {
     double titan_seconds = 0;
     if (spec.app == AppSel::kLammps) {
       if (step == 0) reference = *got;
-      const double msd = apps::mean_squared_displacement(reference, *got, 512);
+      const double msd = apps::mean_squared_displacement(reference, *got, 512,
+                                                         ctx.sample_plans);
       if (a == 0) ctx.analysis_sample = msd;  // rank 0's value: deterministic
       titan_seconds = apps::msd_titan_seconds_per_step(box_bytes);
     } else if (spec.app == AppSel::kLaplace) {
-      auto moments = apps::moment_analysis(*got, 4, 2048);
+      auto moments =
+          apps::moment_analysis(*got, 4, 2048, ctx.sample_plans);
       if (a == 0) ctx.analysis_sample = moments.empty() ? 0 : moments[0];
       titan_seconds = apps::mta_titan_seconds_per_step(box_bytes);
     } else {
@@ -622,7 +637,8 @@ sim::Task<> ana_rank(Ctx& ctx, int a) {
 sim::Task<> decaf_producer(Ctx& ctx, int r) {
   const Spec& spec = ctx.spec;
   mem::ProcessMemory& memory = *ctx.sim_mem[static_cast<std::size_t>(r)];
-  WriterApp app = make_writer(spec, r, ctx.run_kernel);
+  WriterApp app =
+      make_writer(spec, r, ctx.run_kernel, ctx.laplace_kernel);
   Status st_alloc;
   mem::ScopedAlloc state(memory, mem::Tag::kCalculation, app.state_bytes(),
                          &st_alloc);
@@ -722,11 +738,13 @@ sim::Task<> decaf_consumer(Ctx& ctx, int a) {
     double titan_seconds = 0.05;
     if (spec.app == AppSel::kLammps) {
       if (step == 0) reference = *got;
-      const double msd = apps::mean_squared_displacement(reference, *got, 512);
+      const double msd = apps::mean_squared_displacement(reference, *got, 512,
+                                                         ctx.sample_plans);
       if (a == 0) ctx.analysis_sample = msd;
       titan_seconds = apps::msd_titan_seconds_per_step(box_bytes);
     } else if (spec.app == AppSel::kLaplace) {
-      auto moments = apps::moment_analysis(*got, 4, 2048);
+      auto moments =
+          apps::moment_analysis(*got, 4, 2048, ctx.sample_plans);
       if (a == 0) ctx.analysis_sample = moments.empty() ? 0 : moments[0];
       titan_seconds = apps::mta_titan_seconds_per_step(box_bytes);
     }
@@ -813,6 +831,10 @@ RunResult run(const Spec& spec) {
   };
   if (spec.record_schedule_trace) ctx.engine.record_trace(1u << 18);
   ctx.run_kernel = spec.nsim <= 64;
+  if (spec.app == AppSel::kLaplace) {
+    ctx.laplace_kernel = std::make_shared<apps::LaplaceKernel>(
+        laplace_params(spec, 0, ctx.run_kernel));
+  }
   ctx.sim_finished = std::make_unique<sim::Event>(ctx.engine);
   ctx.ana_finished = std::make_unique<sim::Event>(ctx.engine);
   ctx.writers_ready = std::make_unique<sim::Event>(ctx.engine);

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "apps/analysis.h"
 #include "apps/apps.h"
 #include "apps/kernels.h"
+#include "common/rng.h"
 #include "common/units.h"
 
 namespace imc::apps {
@@ -137,6 +143,213 @@ TEST(Mta, SecondMomentIsVariance) {
   auto moments = moment_analysis(field, 2, 100000);
   ASSERT_EQ(moments.size(), 1u);
   EXPECT_NEAR(moments[0], 1.0, 0.05);  // sampled
+}
+
+// ---------------------------------------------------------------------------
+// Sample plans. The analyses drew fresh coordinates on every call and read
+// them one at() at a time; that loop stays here as the reference the plans
+// and the bulk read must reproduce bit for bit.
+
+std::vector<nda::Dims> per_call_coords(const nda::Box& box, int max_samples,
+                                       std::uint64_t seed) {
+  std::vector<nda::Dims> out;
+  const std::uint64_t volume = box.volume();
+  if (volume == 0) return out;
+  Rng rng(seed);
+  const std::uint64_t n =
+      std::min<std::uint64_t>(static_cast<std::uint64_t>(max_samples), volume);
+  out.reserve(n);
+  for (std::uint64_t s = 0; s < n; ++s) {
+    nda::Dims coord(box.lb.size());
+    for (std::size_t d = 0; d < coord.size(); ++d) {
+      coord[d] = box.lb[d] + rng.next_below(box.extent(static_cast<int>(d)));
+    }
+    out.push_back(std::move(coord));
+  }
+  return out;
+}
+
+std::vector<double> per_call_moments(const nda::Slab& field, int max_order,
+                                     int max_samples) {
+  auto samples = per_call_coords(field.box(), max_samples, 0x47a);
+  std::vector<double> moments(static_cast<std::size_t>(max_order) - 1, 0.0);
+  if (samples.empty()) return moments;
+  double mean = 0;
+  std::vector<double> values;
+  for (const auto& coord : samples) {
+    values.push_back(field.at(coord));
+    mean += values.back();
+  }
+  mean /= static_cast<double>(values.size());
+  for (double v : values) {
+    double power = (v - mean) * (v - mean);
+    for (int order = 2; order <= max_order; ++order) {
+      moments[static_cast<std::size_t>(order - 2)] += power;
+      power *= (v - mean);
+    }
+  }
+  for (auto& m : moments) m /= static_cast<double>(values.size());
+  return moments;
+}
+
+double per_call_msd(const nda::Slab& reference, const nda::Slab& current,
+                    int max_samples) {
+  const nda::Box& box = reference.box();
+  if (!reference.is_materialized() && !current.is_materialized() &&
+      reference.seed() == current.seed()) {
+    return 0.0;
+  }
+  nda::Box particle_box;
+  particle_box.lb = {box.lb[1], box.lb[2]};
+  particle_box.ub = {box.ub[1], box.ub[2]};
+  auto samples = per_call_coords(particle_box, max_samples, 0xD15);
+  if (samples.empty()) return 0.0;
+  double sum = 0;
+  for (const auto& pa : samples) {
+    double d2 = 0;
+    for (std::uint64_t axis = 0; axis < 3; ++axis) {
+      const nda::Dims coord = {axis, pa[0], pa[1]};
+      const double delta = current.at(coord) - reference.at(coord);
+      d2 += delta * delta;
+    }
+    sum += d2;
+  }
+  return sum / static_cast<double>(samples.size());
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+// A box of `rank` dimensions with lower corner in [0, 40) and extents in
+// [0, max_extent]; rank 0 draws nothing, so the same seed gives one box.
+nda::Box random_box(Rng& rng, int rank, std::uint64_t max_extent) {
+  nda::Box box;
+  for (int d = 0; d < rank; ++d) {
+    const std::uint64_t lb = rng.next_below(40);
+    box.lb.push_back(lb);
+    box.ub.push_back(lb + rng.next_below(max_extent + 1));
+  }
+  return box;
+}
+
+// The three content forms over `box`: dense, tiled with a period that does
+// not divide the box's bounds, and synthetic.
+std::vector<nda::Slab> every_form(Rng& rng, const nda::Box& box) {
+  std::vector<double> dense(box.volume());
+  for (double& v : dense) v = rng.uniform(-50.0, 50.0);
+  nda::Dims period(box.lb.size());
+  std::uint64_t period_volume = 1;
+  for (auto& extent : period) {
+    extent = 2 + rng.next_below(5);
+    period_volume *= extent;
+  }
+  std::vector<double> block(period_volume);
+  for (double& v : block) v = rng.uniform(-50.0, 50.0);
+  return {nda::Slab::materialized(box, std::move(dense)),
+          nda::Slab::tiled(box, period, std::move(block)),
+          nda::Slab::synthetic(box, 1 + rng.next_below(1000))};
+}
+
+TEST(SamplePlan, OffsetsAreThePerCallCoordinatesFromTheLowerCorner) {
+  Rng rng(3);
+  for (int trial = 0; trial < 30; ++trial) {
+    const nda::Box box = random_box(rng, 1 + trial % 3, 30);
+    nda::Dims extents;
+    for (int d = 0; d < box.dims(); ++d) extents.push_back(box.extent(d));
+    const SamplePlan plan(extents, 300, 0x47a);
+    const auto want = per_call_coords(box, 300, 0x47a);
+    ASSERT_EQ(plan.size(), want.size());
+    ASSERT_EQ(plan.offsets().size(), want.size() * extents.size());
+    for (std::size_t s = 0; s < want.size(); ++s) {
+      for (std::size_t d = 0; d < extents.size(); ++d) {
+        ASSERT_EQ(box.lb[d] + plan.offsets()[s * extents.size() + d],
+                  want[s][d]);
+      }
+    }
+  }
+}
+
+TEST(SamplePlan, MtaMatchesThePerCallSamplerInEveryForm) {
+  Rng rng(5);
+  SamplePlans plans;  // one world's memo, shared by every box below
+  for (int trial = 0; trial < 60; ++trial) {
+    // Volumes from zero to 27000, below and above the sample counts.
+    nda::Box box = random_box(rng, 1 + trial % 3, 30);
+    if (trial < 3) box.ub[0] = box.lb[0];  // zero volume at every rank
+    const int max_order = 2 + trial % 8;  // one to eight moments
+    for (const nda::Slab& field : every_form(rng, box)) {
+      for (int max_samples : {0, 1, 37, 2048}) {
+        const auto want =
+            bits(per_call_moments(field, max_order, max_samples));
+        EXPECT_EQ(bits(moment_analysis(field, max_order, max_samples)), want)
+            << box.to_string() << " " << max_samples;
+        EXPECT_EQ(
+            bits(moment_analysis(field, max_order, max_samples, plans)),
+            want)
+            << box.to_string() << " " << max_samples;
+      }
+    }
+  }
+}
+
+TEST(SamplePlan, MsdMatchesThePerCallSamplerInEveryForm) {
+  Rng rng(7);
+  SamplePlans plans;
+  for (int trial = 0; trial < 40; ++trial) {
+    // {5, procs, atoms} at a nonzero (proc, atom) corner; some are empty.
+    nda::Box particles = random_box(rng, 2, 40);
+    if (trial < 2) particles.ub[trial] = particles.lb[trial];
+    const nda::Box box({0, particles.lb[0], particles.lb[1]},
+                       {5, particles.ub[0], particles.ub[1]});
+    const auto references = every_form(rng, box);
+    const auto currents = every_form(rng, box);
+    for (const nda::Slab& reference : references) {
+      for (const nda::Slab& current : currents) {
+        for (int max_samples : {0, 1, 37, 512}) {
+          const auto want = std::bit_cast<std::uint64_t>(
+              per_call_msd(reference, current, max_samples));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(mean_squared_displacement(
+                        reference, current, max_samples)),
+                    want)
+              << box.to_string() << " " << max_samples;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(mean_squared_displacement(
+                        reference, current, max_samples, plans)),
+                    want)
+              << box.to_string() << " " << max_samples;
+        }
+      }
+    }
+  }
+}
+
+TEST(SamplePlan, AWorldBuildsOnePlanPerExtent) {
+  SamplePlans plans;
+  const SamplePlan& a = plans.get({512, 1024}, 2048, 0x47a);
+  const SamplePlan& b = plans.get({512, 1025}, 2048, 0x47a);
+  EXPECT_NE(&a, &b);
+  EXPECT_EQ(&plans.get({512, 1024}, 2048, 0x47a), &a);
+  EXPECT_EQ(&plans.get({512, 1025}, 2048, 0x47a), &b);
+  EXPECT_NE(&plans.get({512, 1024}, 512, 0x47a), &a);
+  EXPECT_NE(&plans.get({512, 1024}, 2048, 0xD15), &a);
+  EXPECT_EQ(a.size(), 2048u);
+}
+
+TEST(SamplePlan, RejectsANegativeCount) {
+  // A negative count once wrapped to 2^64 - 1 and sampled every element.
+  EXPECT_THROW(SamplePlan({4, 4}, -1, 1), std::invalid_argument);
+  const nda::Slab field =
+      nda::Slab::synthetic(nda::Box({0, 0}, {1024, 1024}), 3);
+  EXPECT_THROW(moment_analysis(field, 4, -1), std::invalid_argument);
+  const nda::Box box({0, 0, 0}, {5, 2, 100});
+  EXPECT_THROW(mean_squared_displacement(nda::Slab::synthetic(box, 7),
+                                         nda::Slab::synthetic(box, 8), -1),
+               std::invalid_argument);
+  SamplePlans plans;
+  EXPECT_THROW(plans.get({4, 4}, -5, 1), std::invalid_argument);
+  EXPECT_EQ(plans.get({4, 4}, 0, 1).size(), 0u);
 }
 
 TEST(LammpsSim, PaperGeometry) {
@@ -313,6 +526,55 @@ TEST(LaplaceSim, RanksAssembleToOneTiling) {
   ASSERT_FALSE(dense.is_tiled());
   EXPECT_EQ(got.checksum(), dense.checksum());
   EXPECT_EQ(moment_analysis(got, 4, 2048), moment_analysis(dense, 4, 2048));
+}
+
+TEST(LaplaceSim, RanksShareOneKernelUnderStaggeredAdvances) {
+  const LaplaceSim::Params world{
+      .nprocs = 3, .rows = 21, .cols_per_proc = 13, .kernel_n = 8};
+  const auto kernel = std::make_shared<LaplaceKernel>(world);
+  std::vector<LaplaceSim> ranks;
+  for (int rank = 0; rank < 3; ++rank) {
+    LaplaceSim::Params p = world;
+    p.rank = rank;
+    ranks.emplace_back(p, kernel);
+    ASSERT_TRUE(ranks.back().has_kernel());
+  }
+  // Rank 2 runs two steps ahead while ranks 0 and 1 interleave behind it.
+  std::vector<int> steps(3, 0);
+  for (int rank : {2, 2, 0, 2, 1, 0, 1, 2, 0}) {
+    LaplaceSim& sim = ranks[static_cast<std::size_t>(rank)];
+    sim.advance();
+    const int step = ++steps[static_cast<std::size_t>(rank)];
+    LaplaceSim::Params p = world;
+    p.rank = rank;
+    LaplaceSim alone(p);
+    for (int k = 0; k < step; ++k) alone.advance();
+    const nda::Slab got = sim.output(step);
+    const nda::Slab want = alone.output(step);
+    ASSERT_EQ(got.box(), want.box());
+    ASSERT_TRUE(got.is_tiled());
+    for (std::uint64_t i = 0; i < 21; ++i) {
+      for (std::uint64_t j = want.box().lb[1]; j < want.box().ub[1]; ++j) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.at({i, j})),
+                  std::bit_cast<std::uint64_t>(want.at({i, j})))
+            << "rank " << rank << " step " << step;
+      }
+    }
+    // kernel() is the rank's own state, not the furthest rank's.
+    EXPECT_EQ(sim.kernel().sweeps_taken(), 4u * static_cast<unsigned>(step));
+    EXPECT_EQ(sim.kernel().grid(), alone.kernel().grid());
+  }
+  ASSERT_EQ(steps, (std::vector<int>{3, 2, 4}));
+  // Ranks at one step share one block, so a reader across them stays tiled
+  // even at a cap of one element; ranks a step apart assemble apart.
+  ranks[1].advance();
+  const nda::Box reader({0, 4}, {21, 22});
+  const nda::Slab merged =
+      nda::assemble(reader, {ranks[0].output(3), ranks[1].output(3)}, 1);
+  EXPECT_TRUE(merged.is_tiled());
+  const nda::Slab apart =
+      nda::assemble(reader, {ranks[0].output(3), ranks[2].output(4)}, 1);
+  EXPECT_FALSE(apart.is_materialized());
 }
 
 TEST(LaplaceSim, ComputeScalesWithProblemSize) {

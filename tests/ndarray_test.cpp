@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <compare>
 #include <numeric>
@@ -687,6 +688,73 @@ TEST(TiledSlab, RejectsBadInputs) {
   // One whose period product would wrap to the block size.
   EXPECT_THROW(Slab::tiled(box, {1ull << 32, 1ull << 32}, {}),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Bulk reads: read_points gives at()'s bits at every point, in every form.
+
+TEST(Slab, ReadPointsEqualsAtInEveryForm) {
+  Rng rng(11);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t nd = 1 + trial % 3;
+    // Every fourth box lies past 2^32.
+    const std::uint64_t base = trial % 4 == 3 ? (1ull << 32) + 7 : 0;
+    Box box;
+    Dims period;
+    for (std::size_t d = 0; d < nd; ++d) {
+      const std::uint64_t lb = base + rng.next_below(30);
+      box.lb.push_back(lb);
+      box.ub.push_back(lb + 1 + rng.next_below(8));
+      period.push_back(2 + rng.next_below(4));  // rarely divides lb
+    }
+    std::vector<double> dense(box.volume());
+    for (double& v : dense) v = rng.uniform(-1.0, 1.0);
+    const Slab forms[] = {Slab::materialized(box, std::move(dense)),
+                          Slab::tiled(box, period, block_for(period)),
+                          Slab::synthetic(box, 1 + rng.next_below(1000))};
+    // Every element of the box, as offsets from its lower corner.
+    std::vector<std::uint64_t> all;
+    for_each_coord(box, [&](const Dims& c) {
+      for (std::size_t d = 0; d < nd; ++d) all.push_back(c[d] - box.lb[d]);
+    });
+    for (const Slab& slab : forms) {
+      std::vector<double> got(box.volume());
+      slab.read_points(box.lb, all, nd, got.data());
+      std::size_t s = 0;
+      for_each_coord(box, [&](const Dims& c) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[s++]),
+                  std::bit_cast<std::uint64_t>(slab.at(c)))
+            << ::testing::PrintToString(c);
+      });
+    }
+    // Random points over the trailing dimensions, the leading ones fixed.
+    for (std::size_t rank = 1; rank <= nd; ++rank) {
+      const std::size_t lead = nd - rank;
+      Dims origin = box.lb;
+      for (std::size_t d = 0; d < lead; ++d) {
+        origin[d] += rng.next_below(box.extent(static_cast<int>(d)));
+      }
+      const std::size_t count = rng.next_below(50);
+      std::vector<std::uint64_t> offsets;
+      for (std::size_t s = 0; s < count * rank; ++s) {
+        offsets.push_back(rng.next_below(
+            box.extent(static_cast<int>(lead + s % rank))));
+      }
+      for (const Slab& slab : forms) {
+        std::vector<double> got(count);
+        slab.read_points(origin, offsets, rank, got.data());
+        for (std::size_t s = 0; s < count; ++s) {
+          Dims c = origin;
+          for (std::size_t k = 0; k < rank; ++k) {
+            c[lead + k] += offsets[s * rank + k];
+          }
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[s]),
+                    std::bit_cast<std::uint64_t>(slab.at(c)))
+              << ::testing::PrintToString(c);
+        }
+      }
+    }
+  }
 }
 
 // Two writers' outputs of one period, each block its own allocation, and
