@@ -95,6 +95,33 @@ print("stdout hashes identical at IMC_THREADS=1 and 2:",
       ", ".join(sorted(a)))
 EOF
 
+# The smoke's results must also equal the committed record, so a change that
+# moves simulated results the same way at every thread count still fails
+# here. A change that moves them on purpose re-records BENCH_perf.json.
+echo "==> bench smoke: compare stdout hashes with BENCH_perf.json"
+python3 - "$repo/BENCH_perf.json" "$repo/build-bench-smoke/BENCH_smoke_t1.json" <<'EOF'
+import json, sys
+record, smoke = (json.load(open(p))["scenarios"] for p in sys.argv[1:3])
+bad = [n for n in smoke
+       if smoke[n]["stdout_sha256"] != record[n]["stdout_sha256"]]
+if bad:
+    sys.exit(f"FAIL: scenario stdout differs from BENCH_perf.json: {bad}")
+print("stdout hashes equal BENCH_perf.json:", ", ".join(sorted(smoke)))
+EOF
+# check_recorded <value> <scenario> <field>: fails unless BENCH_perf.json
+# records <value> as the scenario's field.
+check_recorded() {
+  python3 - "$repo/BENCH_perf.json" "$@" <<'EOF'
+import json, sys
+path, got, scenario, field = sys.argv[1:5]
+want = json.load(open(path))["scenarios"][scenario][field]
+if got != want:
+    sys.exit(f"FAIL: {scenario} {field} {got} differs from "
+             f"BENCH_perf.json's {want}")
+print(f"{scenario} {field} equals BENCH_perf.json: {got}")
+EOF
+}
+
 # Sweep perf gate: the pool must actually speed the smoke sweep up. The two
 # smoke runs above produced sequential (t1) and pooled (t2) wall clocks for
 # the same scenarios; their ratio is the measured speedup. The verdict is
@@ -139,6 +166,7 @@ if [ "$d1" != "$d2" ]; then
   exit 1
 fi
 echo "trace digests identical at IMC_THREADS=1 and 2: $d1"
+check_recorded "$d1" bench_fig2_end_to_end trace_digest
 rm -f "$smoke/fig2.trace.t1.json" "$smoke/fig2.trace.t2.json"
 
 # Prof digest-exclusion gate: IMC_PROF is observability, never input. A
@@ -225,6 +253,7 @@ if [ "$c1" != "$c2" ]; then
   exit 1
 fi
 echo "chaos trace digests identical at IMC_THREADS=1 and 2: $c1"
+check_recorded "$c1" bench_ext_chaos trace_digest
 fifo_digest="$(grep '^chaos-invariant-digest:' "$smoke/chaos.t1.out")"
 for sched in lifo shuffle; do
   sched_digest="$(IMC_SCHEDULE=$sched IMC_THREADS=2 "$chaos" |
@@ -237,6 +266,8 @@ for sched in lifo shuffle; do
 done
 echo "chaos invariant digest identical across fifo/lifo/shuffle:" \
      "${fifo_digest#chaos-invariant-digest: }"
+check_recorded "${fifo_digest#chaos-invariant-digest: }" bench_ext_chaos \
+  chaos_invariant_digest
 rm -f "$smoke/chaos.trace.t1.json" "$smoke/chaos.trace.t2.json" \
       "$smoke/chaos.t1.out" "$smoke/chaos.t2.out"
 

@@ -1,7 +1,6 @@
 #include "adios/adios.h"
 
 #include <cctype>
-#include <cassert>
 #include <cstdlib>
 
 namespace imc::adios {
@@ -135,59 +134,92 @@ Result<nda::Dims> resolve_dims(
   return dims;
 }
 
-// ------------------------------------------------------------------ Io ----
+// ---------------------------------------------------------- MPI-IO ----
 
 namespace {
 // Per-variable BP metadata footer and the min/max statistics scan rate.
 constexpr std::uint64_t kBpFooterBytes = 4 * kKiB;
 constexpr double kStatsScanBandwidth = 10e9;  // bytes/s at Titan speed
+
+Status no_step_open() {
+  return make_error(ErrorCode::kFailedPrecondition, "no step open");
+}
 }  // namespace
 
-Io::Io(sim::Engine& engine, const AdiosConfig& config, const GroupDecl& group,
-       Backends backends, mem::ProcessMemory& memory, double cpu_speed)
+MpiIoClient::MpiIoClient(lustre::FileSystem& fs, hpc::Node& node,
+                         staging::Role role, std::string base_path)
+    : fs_(&fs), node_(&node), role_(role), base_path_(std::move(base_path)) {}
+
+sim::Task<Status> MpiIoClient::begin_step(int step) {
+  // adios_open: Table I stripes with lfs setstripe -S 1m -c -1.
+  path_ = base_path_ + "." + std::to_string(step);
+  auto file = co_await fs_->open(path_);
+  if (!file.has_value()) co_return file.status();
+  file_ = std::move(*file);
+  co_return Status::ok();
+}
+
+sim::Task<Status> MpiIoClient::put(const nda::VarDesc& var,
+                                   const nda::Slab& slab) {
+  if (!file_) co_return no_step_open();
+  const std::uint64_t bytes = slab.box().volume() * nda::kElementBytes;
+  Status st = co_await file_->write(*node_, file_->size(),
+                                    bytes + kBpFooterBytes);
+  if (st.is_ok()) fs_->record_object(path_, var, slab);
+  co_return st;
+}
+
+sim::Task<Status> MpiIoClient::end_step(int /*step*/) {
+  // adios_close on a written file: one more metadata operation per rank
+  // per step on the (few) Lustre MDS.
+  if (role_ == staging::Role::kWriter && file_) co_await fs_->close(*file_);
+  co_return Status::ok();
+}
+
+sim::Task<Result<nda::Slab>> MpiIoClient::get(const nda::VarDesc& var,
+                                              const nda::Box& box) {
+  if (!file_) co_return no_step_open();
+  const std::uint64_t bytes = box.volume() * nda::kElementBytes;
+  if (Status st = co_await file_->read(*node_, 0, bytes); !st.is_ok()) {
+    co_return st;
+  }
+  auto hits = fs_->find_objects(path_, var, box);
+  std::uint64_t covered = 0;
+  for (const auto* slab : hits) {
+    covered += nda::intersect(slab->box(), box)->volume();
+  }
+  if (covered < box.volume()) {
+    co_return make_error(ErrorCode::kNotFound,
+                         "file covers only " + std::to_string(covered) +
+                             " of " + std::to_string(box.volume()) +
+                             " elements");
+  }
+  co_return nda::assemble(box, hits, kMpiIoReadCapElems);
+}
+
+sim::Task<> MpiIoClient::finalize() {
+  file_.reset();
+  co_return;
+}
+
+// -------------------------------------------------------------- Io ----
+
+Io::Io(sim::Engine& engine, const AdiosConfig& config,
+       std::unique_ptr<staging::Client> inner, mem::ProcessMemory& memory,
+       double cpu_speed)
     : engine_(&engine),
       config_(&config),
-      group_(&group),
-      backends_(backends),
+      inner_(std::move(inner)),
       memory_(&memory),
       cpu_speed_(cpu_speed) {}
 
-sim::Task<Status> Io::open_write(const std::string& path) {
-  path_ = path;
-  switch (group_->method) {
-    case Method::kMpiIo: {
-      assert(backends_.lustre != nullptr && backends_.node != nullptr);
-      // Table I: lfs setstripe -stripe-size 1m -stripe-count -1.
-      auto file = co_await backends_.lustre->open(path);
-      if (!file.has_value()) co_return file.status();
-      file_ = std::move(*file);
-      break;
-    }
-    case Method::kDataspaces:
-      assert(backends_.dataspaces != nullptr);
-      if (Status st = co_await backends_.dataspaces->init(); !st.is_ok()) {
-        co_return st;
-      }
-      break;
-    case Method::kDimes:
-      assert(backends_.dimes != nullptr);
-      if (Status st = co_await backends_.dimes->init(); !st.is_ok()) {
-        co_return st;
-      }
-      break;
-    case Method::kFlexpath:
-      assert(backends_.flexpath_writer != nullptr);
-      if (Status st = co_await backends_.flexpath_writer->open(group_->name);
-          !st.is_ok()) {
-        co_return st;
-      }
-      break;
-  }
+sim::Task<Status> Io::open() {
+  if (Status st = co_await inner_->open(); !st.is_ok()) co_return st;
   open_ = true;
   co_return Status::ok();
 }
 
-sim::Task<Status> Io::write(const nda::VarDesc& var, const nda::Slab& slab) {
+sim::Task<Status> Io::put(const nda::VarDesc& var, const nda::Slab& slab) {
   if (!open_) {
     co_return make_error(ErrorCode::kFailedPrecondition, "file not open");
   }
@@ -212,176 +244,33 @@ sim::Task<Status> Io::write(const nda::VarDesc& var, const nda::Slab& slab) {
   co_return Status::ok();
 }
 
-sim::Task<Status> Io::close() {
-  if (!open_) {
-    co_return make_error(ErrorCode::kFailedPrecondition, "file not open");
-  }
+sim::Task<Status> Io::end_step(int step) {
   Status result = Status::ok();
   for (auto& pending : pending_) {
     const std::uint64_t bytes =
         pending.slab.box().volume() * nda::kElementBytes;
-    switch (group_->method) {
-      case Method::kMpiIo: {
-        Status st = co_await file_->write(*backends_.node, file_->size(),
-                                          bytes + kBpFooterBytes);
-        if (st.is_ok()) {
-          backends_.lustre->record_object(path_, pending.var,
-                                          std::move(pending.slab));
-        } else {
-          result = st;
-        }
-        break;
-      }
-      case Method::kDataspaces: {
-        Status st =
-            co_await backends_.dataspaces->put(pending.var, pending.slab);
-        if (!st.is_ok()) result = st;
-        break;
-      }
-      case Method::kDimes: {
-        Status st = co_await backends_.dimes->put(pending.var, pending.slab);
-        if (!st.is_ok()) result = st;
-        break;
-      }
-      case Method::kFlexpath: {
-        Status st = co_await backends_.flexpath_writer->write_step(
-            pending.var, pending.slab);
-        if (!st.is_ok()) result = st;
-        break;
-      }
+    if (Status st = co_await inner_->put(pending.var, pending.slab);
+        !st.is_ok()) {
+      result = st;
     }
     memory_->free(mem::Tag::kLibrary, bytes);
     buffered_bytes_ -= bytes;
   }
   pending_.clear();
-  if (group_->method == Method::kMpiIo && result.is_ok()) {
-    // adios_close on the MPI method closes the BP file: one more metadata
-    // operation per rank per step on the (few) Lustre MDS.
-    co_await backends_.lustre->close(*file_);
-  }
-  co_return result;
+  if (!result.is_ok()) co_return result;
+  co_return co_await inner_->end_step(step);
 }
 
-sim::Task<Status> Io::commit(const nda::VarDesc& var) {
-  switch (group_->method) {
-    case Method::kDataspaces:
-      co_return co_await backends_.dataspaces->publish(var);
-    case Method::kDimes:
-      co_return co_await backends_.dimes->publish(var);
-    case Method::kMpiIo:
-    case Method::kFlexpath:
-      co_return Status::ok();
-  }
-  co_return Status::ok();
-}
-
-sim::Task<Status> Io::open_read(const std::string& path) {
-  path_ = path;
-  switch (group_->method) {
-    case Method::kMpiIo: {
-      assert(backends_.lustre != nullptr && backends_.node != nullptr);
-      auto file = co_await backends_.lustre->open(path);
-      if (!file.has_value()) co_return file.status();
-      file_ = std::move(*file);
-      break;
-    }
-    case Method::kDataspaces:
-      if (Status st = co_await backends_.dataspaces->init(); !st.is_ok()) {
-        co_return st;
-      }
-      break;
-    case Method::kDimes:
-      if (Status st = co_await backends_.dimes->init(); !st.is_ok()) {
-        co_return st;
-      }
-      break;
-    case Method::kFlexpath:
-      assert(backends_.flexpath_reader != nullptr);
-      if (Status st = co_await backends_.flexpath_reader->open(group_->name);
-          !st.is_ok()) {
-        co_return st;
-      }
-      break;
-  }
-  open_ = true;
-  co_return Status::ok();
-}
-
-sim::Task<Result<nda::Slab>> Io::read(const nda::VarDesc& var,
-                                      const nda::Box& box) {
+sim::Task<Result<nda::Slab>> Io::get(const nda::VarDesc& var,
+                                     const nda::Box& box) {
   if (!open_) {
     co_return make_error(ErrorCode::kFailedPrecondition, "file not open");
   }
-  switch (group_->method) {
-    case Method::kMpiIo: {
-      const std::uint64_t bytes = box.volume() * nda::kElementBytes;
-      if (Status st = co_await file_->read(*backends_.node, 0, bytes);
-          !st.is_ok()) {
-        co_return st;
-      }
-      auto hits = backends_.lustre->find_objects(path_, var, box);
-      std::uint64_t covered = 0;
-      for (const auto* slab : hits) {
-        covered += nda::intersect(slab->box(), box)->volume();
-      }
-      if (covered < box.volume()) {
-        co_return make_error(ErrorCode::kNotFound,
-                             "file covers only " + std::to_string(covered) +
-                                 " of " + std::to_string(box.volume()) +
-                                 " elements");
-      }
-      co_return nda::assemble(box, hits, kMpiIoReadCapElems);
-    }
-    case Method::kDataspaces: {
-      if (Status st = co_await backends_.dataspaces->wait_version(
-              var.name, var.version);
-          !st.is_ok()) {
-        co_return st;
-      }
-      co_return co_await backends_.dataspaces->get(var, box);
-    }
-    case Method::kDimes: {
-      if (Status st =
-              co_await backends_.dimes->wait_version(var.name, var.version);
-          !st.is_ok()) {
-        co_return st;
-      }
-      co_return co_await backends_.dimes->get(var, box);
-    }
-    case Method::kFlexpath:
-      co_return co_await backends_.flexpath_reader->read_step(var, box);
-  }
-  co_return make_error(ErrorCode::kInternal, "unreachable");
+  co_return co_await inner_->get(var, box);
 }
 
-sim::Task<Status> Io::advance_step(int step) {
-  if (group_->method == Method::kFlexpath &&
-      backends_.flexpath_reader != nullptr) {
-    co_return co_await backends_.flexpath_reader->release_step(step);
-  }
-  co_return Status::ok();
-}
-
-void Io::finalize() {
-  switch (group_->method) {
-    case Method::kMpiIo:
-      file_.reset();
-      break;
-    case Method::kDataspaces:
-      if (backends_.dataspaces != nullptr) backends_.dataspaces->finalize();
-      break;
-    case Method::kDimes:
-      if (backends_.dimes != nullptr) backends_.dimes->finalize();
-      break;
-    case Method::kFlexpath:
-      if (backends_.flexpath_writer != nullptr) {
-        backends_.flexpath_writer->close();
-      }
-      if (backends_.flexpath_reader != nullptr) {
-        backends_.flexpath_reader->close();
-      }
-      break;
-  }
+sim::Task<> Io::finalize() {
+  co_await inner_->finalize();
   open_ = false;
 }
 

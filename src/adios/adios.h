@@ -6,31 +6,29 @@
 //  * the XML configuration (groups, variables with symbolic dimensions, a
 //    transport method per group, buffer sizing, stats on/off) — the
 //    usability surface measured in Table III;
-//  * buffered writes: adios_write copies into the group buffer; the flush
-//    to the selected method happens at adios_close;
-//  * a uniform read API with box selections over any method.
-//
-// A small per-step metadata footer and the optional min/max statistics pass
-// model ADIOS's overhead relative to the native APIs (the paper's
-// ADIOS-vs-native curves are close but not identical).
+//  * Io, a decorator over any method's step client (staging/client.h):
+//    writes buffered until adios_close plus the optional min/max
+//    statistics pass, ADIOS's overhead over the native APIs (the paper's
+//    ADIOS-vs-native curves are close but not identical);
+//  * MpiIoClient, the MPI method's per-step BP files on Lustre.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "adios/xml.h"
 #include "common/status.h"
 #include "common/units.h"
-#include "dataspaces/dataspaces.h"
-#include "dimes/dimes.h"
-#include "flexpath/flexpath.h"
+#include "hpc/cluster.h"
 #include "lustre/lustre.h"
 #include "mem/memory.h"
 #include "ndarray/ndarray.h"
 #include "sim/engine.h"
 #include "sim/task.h"
+#include "staging/client.h"
 
 namespace imc::adios {
 
@@ -72,54 +70,68 @@ Result<AdiosConfig> parse_config(const std::string& xml);
 Result<nda::Dims> resolve_dims(const std::string& spec,
                                const std::map<std::string, std::uint64_t>& symbols);
 
-// Per-rank I/O context: the adios_open/adios_write/adios_close and
-// read-API surface for one group. Exactly one backend pointer matching the
-// group's method must be supplied.
-class Io {
+// MPI-IO through the BP-file method, ADIOS's only MPI packaging: every
+// step is one file per rank, opened at begin_step and (by a writer) closed
+// at end_step; a put writes its payload plus a BP footer and records the
+// content; a get reads its box back from the step's file. Readers
+// post-process, once every writer finished.
+class MpiIoClient final : public staging::Client {
  public:
-  struct Backends {
-    dataspaces::DataSpaces::Client* dataspaces = nullptr;
-    dimes::Dimes::Client* dimes = nullptr;
-    flexpath::Flexpath::Writer* flexpath_writer = nullptr;
-    flexpath::Flexpath::Reader* flexpath_reader = nullptr;
-    lustre::FileSystem* lustre = nullptr;
-    hpc::Node* node = nullptr;  // MPI-IO needs the rank's node for striping
-  };
+  // Files are `base_path`.<step> on `fs`, striped from the rank's `node`.
+  MpiIoClient(lustre::FileSystem& fs, hpc::Node& node, staging::Role role,
+              std::string base_path);
 
-  Io(sim::Engine& engine, const AdiosConfig& config, const GroupDecl& group,
-     Backends backends, mem::ProcessMemory& memory, double cpu_speed = 1.0);
+  sim::Task<Status> open() override { co_return Status::ok(); }
+  sim::Task<Status> begin_step(int step) override;
+  sim::Task<Status> put(const nda::VarDesc& var,
+                        const nda::Slab& slab) override;
+  sim::Task<Status> end_step(int step) override;
+  sim::Task<Result<nda::Slab>> get(const nda::VarDesc& var,
+                                   const nda::Box& box) override;
+  sim::Task<> finalize() override;
+  staging::Coupling coupling() const override {
+    return {.readers_after_writers = true};
+  }
 
-  // adios_open(..., "w"): method-level open (MPI-IO touches the MDS; the
-  // staging methods initialize their clients).
-  sim::Task<Status> open_write(const std::string& path);
+ private:
+  lustre::FileSystem* fs_;
+  hpc::Node* node_;
+  staging::Role role_;
+  std::string base_path_;
+  std::string path_;  // the open step's file
+  std::shared_ptr<lustre::File> file_;
+};
 
-  // adios_write: copies the slab into the group buffer. Fails with
-  // kOutOfMemory when the configured buffer size would be exceeded (ADIOS
-  // 1.x behavior).
-  sim::Task<Status> write(const nda::VarDesc& var, const nda::Slab& slab);
+// ADIOS over any step client, adding what the framework adds to the method
+// it drives and nothing else — the whole of Fig. 2's ADIOS-vs-native gap:
+//  * put (adios_write) copies the slab into the group buffer, failing with
+//    kOutOfMemory past the configured buffer size as ADIOS 1.x does, and
+//    runs the min/max statistics scan when stats are on;
+//  * end_step (adios_close) flushes the buffered slabs through the inner
+//    client's put in order, freeing the buffer, then ends the inner step.
+// Every other call goes straight to the inner client; put and get before
+// open fail with kFailedPrecondition.
+class Io final : public staging::Client {
+ public:
+  Io(sim::Engine& engine, const AdiosConfig& config,
+     std::unique_ptr<staging::Client> inner, mem::ProcessMemory& memory,
+     double cpu_speed = 1.0);
 
-  // adios_close: flushes the buffered writes through the method and
-  // releases the buffer. For staging methods, data becomes visible to
-  // readers only after commit() (the collective unlock).
-  sim::Task<Status> close();
-
-  // Collective step commit: exactly one rank (the writer root) calls this
-  // after all ranks closed. Publishes the staged version (DataSpaces/DIMES);
-  // no-op for MPI-IO and Flexpath (file visibility / queue semantics).
-  sim::Task<Status> commit(const nda::VarDesc& var);
-
-  // --- read API ---
-  sim::Task<Status> open_read(const std::string& path);
+  sim::Task<Status> open() override;
+  sim::Task<Status> begin_step(int step) override {
+    return inner_->begin_step(step);
+  }
+  sim::Task<Status> put(const nda::VarDesc& var,
+                        const nda::Slab& slab) override;
+  sim::Task<Status> end_step(int step) override;
+  sim::Task<Status> commit(const nda::VarDesc& var) override {
+    return inner_->commit(var);
+  }
   // adios_schedule_read + adios_perform_reads for one box selection.
-  // Blocks until the requested version is available.
-  sim::Task<Result<nda::Slab>> read(const nda::VarDesc& var,
-                                    const nda::Box& box);
-  // adios_advance_step on the reader side (Flexpath releases the step).
-  sim::Task<Status> advance_step(int step);
-
-  void finalize();
-
-  std::uint64_t buffered_bytes() const { return buffered_bytes_; }
+  sim::Task<Result<nda::Slab>> get(const nda::VarDesc& var,
+                                   const nda::Box& box) override;
+  sim::Task<> finalize() override;
+  staging::Coupling coupling() const override { return inner_->coupling(); }
 
  private:
   struct Pending {
@@ -129,14 +141,11 @@ class Io {
 
   sim::Engine* engine_;
   const AdiosConfig* config_;
-  const GroupDecl* group_;
-  Backends backends_;
+  std::unique_ptr<staging::Client> inner_;
   mem::ProcessMemory* memory_;
   double cpu_speed_;
-  std::string path_;
   std::vector<Pending> pending_;
   std::uint64_t buffered_bytes_ = 0;
-  std::shared_ptr<lustre::File> file_;
   bool open_ = false;
 };
 

@@ -3,7 +3,7 @@
 // time matters.
 #pragma once
 
-#include "adios/adios.h"            // ADIOS framework (XML, groups, Io)
+#include "adios/adios.h"            // ADIOS (XML, the Io decorator, MPI-IO)
 #include "apps/analysis.h"          // MSD / MTA analytics
 #include "apps/apps.h"              // LAMMPS / Laplace / synthetic workloads
 #include "apps/kernels.h"           // the real LJ-melt and Jacobi kernels
@@ -31,4 +31,6 @@
 #include "sim/engine.h"             // the discrete-event engine
 #include "sim/sync.h"               // events, semaphores, queues, barriers
 #include "sim/task.h"               // coroutine tasks
+#include "staging/client.h"         // the step-based client interface
+#include "staging/clients.h"        // DataSpaces/DIMES, Flexpath, Decaf clients
 #include "workflow/workflow.h"      // the coupled-workflow harness

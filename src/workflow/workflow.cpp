@@ -15,10 +15,6 @@
 #include "adios/adios.h"
 #include "apps/analysis.h"
 #include "apps/apps.h"
-#include "dataspaces/dataspaces.h"
-#include "decaf/decaf.h"
-#include "dimes/dimes.h"
-#include "flexpath/flexpath.h"
 #include "hpc/cluster.h"
 #include "lustre/lustre.h"
 #include "mpi/comm.h"
@@ -27,6 +23,8 @@
 #include "ndarray/ndarray.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
+#include "staging/client.h"
+#include "staging/clients.h"
 
 namespace imc::workflow {
 
@@ -230,7 +228,6 @@ struct Ctx {
   std::unique_ptr<dimes::Dimes> dimes;
   std::unique_ptr<flexpath::Flexpath> flexpath;
   adios::AdiosConfig adios_config;
-  adios::GroupDecl adios_group;
 
   std::unique_ptr<mpi::Comm> sim_comm;
   std::unique_ptr<mpi::Comm> world;  // Decaf
@@ -253,6 +250,14 @@ struct Ctx {
   std::unique_ptr<sim::Event> ana_finished;
   int writers_open = 0;
   std::unique_ptr<sim::Event> writers_ready;
+
+  // Failure-message names of the ranks and of a failed open. Decaf's have
+  // always followed its dataflow graph, and its open is a pool charge.
+  struct Names {
+    const char* writer = "sim rank";
+    const char* reader = "analytics rank";
+    const char* open = " init";
+  } names;
 
   bool run_kernel = false;
   // Per-world memos (DESIGN.md §9 rule 3): the analytics' sample plans, and
@@ -297,13 +302,46 @@ net::TransportKind resolve_transport(const Spec& spec) {
   return net::TransportKind::kRdmaUgni;
 }
 
+// The rank's step client: the method's own, decorated by ADIOS when the
+// method runs through it.
+std::unique_ptr<staging::Client> make_client(Ctx& ctx, staging::Role role,
+                                             int index,
+                                             const net::Endpoint& self,
+                                             mem::ProcessMemory& memory) {
+  const Spec& spec = ctx.spec;
+  const std::string group(to_string(spec.app));
+  std::unique_ptr<staging::Client> client;
+  if (ctx.ds) {
+    client = std::make_unique<staging::VersionedClient<dataspaces::DataSpaces>>(
+        *ctx.ds, self, memory);
+  } else if (ctx.dimes) {
+    client = std::make_unique<staging::VersionedClient<dimes::Dimes>>(
+        *ctx.dimes, self, memory);
+  } else if (ctx.flexpath) {
+    client = std::make_unique<staging::FlexpathClient>(*ctx.flexpath, self,
+                                                       memory, role, group);
+  } else if (ctx.dflow) {
+    client = std::make_unique<staging::DecafClient>(*ctx.dflow, memory, role,
+                                                    index, spec.steps);
+  } else {
+    client = std::make_unique<adios::MpiIoClient>(
+        *ctx.fs, *self.node, role, "/scratch/" + group + ".bp");
+  }
+  if (!via_adios(spec.method)) return client;
+  return std::make_unique<adios::Io>(ctx.engine, ctx.adios_config,
+                                     std::move(client), memory,
+                                     spec.machine.cpu_speed);
+}
+
 // ---------------------------------------------------------------------------
-// Simulation-rank process for the non-Decaf methods.
+// Simulation rank: compute, then stage each step's output.
 // ---------------------------------------------------------------------------
 
-sim::Task<> sim_rank(Ctx& ctx, int r) {
+sim::Task<> writer_rank(Ctx& ctx, int r) {
   const Spec& spec = ctx.spec;
   mem::ProcessMemory& memory = *ctx.sim_mem[static_cast<std::size_t>(r)];
+  auto name = [&] { return std::string(ctx.names.writer) + " " +
+                          std::to_string(r); };
   WriterApp app =
       make_writer(spec, r, ctx.run_kernel, ctx.laplace_kernel);
 
@@ -311,64 +349,20 @@ sim::Task<> sim_rank(Ctx& ctx, int r) {
   mem::ScopedAlloc state(memory, mem::Tag::kCalculation, app.state_bytes(),
                          &state_status);
   if (!state_status.is_ok()) {
-    ctx.fail("sim rank " + std::to_string(r) + ": " +
-             state_status.to_string());
+    ctx.fail(name() + ": " + state_status.to_string());
     co_return;
   }
-
-  // Per-method client state.
-  std::unique_ptr<dataspaces::DataSpaces::Client> ds_client;
-  std::unique_ptr<dimes::Dimes::Client> dimes_client;
-  std::unique_ptr<flexpath::Flexpath::Writer> fp_writer;
-  std::unique_ptr<adios::Io> io;
 
   const net::Endpoint self = ctx.sim_ep(r);
-  if (ctx.ds) {
-    ds_client = std::make_unique<dataspaces::DataSpaces::Client>(*ctx.ds, self,
-                                                                 memory);
-  }
-  if (ctx.dimes) {
-    dimes_client =
-        std::make_unique<dimes::Dimes::Client>(*ctx.dimes, self, memory);
-  }
-  if (ctx.flexpath) {
-    fp_writer = std::make_unique<flexpath::Flexpath::Writer>(*ctx.flexpath,
-                                                             self, memory);
-  }
-  if (via_adios(spec.method)) {
-    adios::Io::Backends backends;
-    backends.dataspaces = ds_client.get();
-    backends.dimes = dimes_client.get();
-    backends.flexpath_writer = fp_writer.get();
-    backends.lustre = ctx.fs.get();
-    backends.node = self.node;
-    io = std::make_unique<adios::Io>(ctx.engine, ctx.adios_config,
-                                     ctx.adios_group, backends, memory,
-                                     spec.machine.cpu_speed);
-  }
-
-  // Initialize the I/O path. The MPI method opens one BP file per step
-  // inside the loop (as adios_open does); staging methods initialize once.
-  const std::string base_path =
-      "/scratch/" + std::string(to_string(spec.app)) + ".bp";
-  Status init_status = Status::ok();
-  if (via_adios(spec.method) && spec.method != MethodSel::kMpiIo) {
-    init_status = co_await io->open_write(base_path);
-  } else if (ds_client) {
-    init_status = co_await ds_client->init();
-  } else if (dimes_client) {
-    init_status = co_await dimes_client->init();
-  }
-  if (!init_status.is_ok()) {
-    ctx.fail("sim rank " + std::to_string(r) + " init: " +
-             init_status.to_string());
+  std::unique_ptr<staging::Client> client =
+      make_client(ctx, staging::Role::kWriter, r, self, memory);
+  const staging::Coupling coupling = client->coupling();
+  if (Status st = co_await client->open(); !st.is_ok()) {
+    ctx.fail(name() + ctx.names.open + ": " + st.to_string());
     co_return;
   }
-  if (ctx.flexpath) {
-    if (++ctx.writers_open == spec.nsim) ctx.writers_ready->set();
-  }
-
-  co_await ctx.sim_comm->barrier(r);
+  if (++ctx.writers_open == spec.nsim) ctx.writers_ready->set();
+  if (coupling.step_barrier) co_await ctx.sim_comm->barrier(r);
 
   auto& staging_s = ctx.sim_staging[static_cast<std::size_t>(r)];
   auto& compute_s = ctx.sim_compute[static_cast<std::size_t>(r)];
@@ -389,8 +383,9 @@ sim::Task<> sim_rank(Ctx& ctx, int r) {
     compute_s += dt;
 
     // Output phase. GPU-resident data crosses PCIe first (§IV-B): none of
-    // the staging libraries read device memory, so the rank stages through
-    // a host bounce buffer — unless GPUDirect is modeled.
+    // the staging libraries, Decaf's Bredala included, reads device memory,
+    // so the rank stages through a host bounce buffer — unless GPUDirect is
+    // modeled.
     const nda::VarDesc var = app.desc(step);
     const nda::Slab slab = app.output(step);
     if (spec.gpu_resident_output && !spec.use_gpudirect) {
@@ -399,8 +394,7 @@ sim::Task<> sim_rank(Ctx& ctx, int r) {
       mem::ScopedAlloc bounce(memory, mem::Tag::kLibrary, out_bytes,
                               &bounce_status);
       if (!bounce_status.is_ok()) {
-        ctx.fail("sim rank " + std::to_string(r) + " D2H bounce: " +
-                 bounce_status.to_string());
+        ctx.fail(name() + " D2H bounce: " + bounce_status.to_string());
         co_return;
       }
       const double copy = static_cast<double>(out_bytes) /
@@ -411,74 +405,53 @@ sim::Task<> sim_rank(Ctx& ctx, int r) {
     const double t0 = ctx.engine.now();
     trace::Span staging_span = trace::span("sim.staging", track);
     staging_span.arg("step", step);
-    Status st;
-    if (via_adios(spec.method)) {
-      if (spec.method == MethodSel::kMpiIo) {
-        st = co_await io->open_write(base_path + "." + std::to_string(step));
-        if (!st.is_ok()) {
-          ctx.fail("sim rank " + std::to_string(r) + " open: " +
-                   st.to_string());
-          co_return;
-        }
-      }
-      st = co_await io->write(var, slab);
-      if (st.is_ok()) st = co_await io->close();
-    } else if (ds_client) {
-      st = co_await ds_client->put(var, slab);
-    } else {
-      st = co_await dimes_client->put(var, slab);
+    if (Status st = co_await client->begin_step(step); !st.is_ok()) {
+      ctx.fail(name() + " open: " + st.to_string());
+      co_return;
     }
+    Status st = co_await client->put(var, slab);
+    if (st.is_ok()) st = co_await client->end_step(step);
     staging_span.end();
     staging_s += ctx.engine.now() - t0;
     if (!st.is_ok()) {
-      ctx.fail("sim rank " + std::to_string(r) + " step " +
-               std::to_string(step) + ": " + st.to_string());
+      ctx.fail(name() + " step " + std::to_string(step) + ": " +
+               st.to_string());
       co_return;
     }
 
     // Commit: all ranks' puts complete, then the root publishes.
-    co_await ctx.sim_comm->barrier(r);
-    if (r == 0) {
-      Status commit_status;
-      if (via_adios(spec.method)) {
-        commit_status = co_await io->commit(var);
-      } else if (ds_client) {
-        commit_status = co_await ds_client->publish(var);
-      } else {
-        commit_status = co_await dimes_client->publish(var);
-      }
-      if (!commit_status.is_ok()) {
+    if (coupling.step_barrier) co_await ctx.sim_comm->barrier(r);
+    if (coupling.step_barrier && r == 0) {
+      if (Status committed = co_await client->commit(var);
+          !committed.is_ok()) {
         ctx.fail("commit step " + std::to_string(step) + ": " +
-                 commit_status.to_string());
+                 committed.to_string());
         co_return;
       }
     }
   }
 
+  // A writer serving reads from its own memory finalizes after the readers;
+  // every other one before it reports done (a Decaf producer announces the
+  // end of its stream there).
+  if (!coupling.writers_outlive_readers) co_await client->finalize();
   ctx.sim_done[static_cast<std::size_t>(r)] = ctx.engine.now();
   if (++ctx.sim_finished_count == spec.nsim) ctx.sim_finished->set();
-
-  // DIMES keeps the staged data in this rank's memory and Flexpath keeps it
-  // in this rank's queue, so the writer process must outlive the readers.
-  if (ctx.dimes || ctx.flexpath) {
+  if (coupling.writers_outlive_readers) {
     co_await ctx.ana_finished->wait();
-  }
-  if (io) {
-    io->finalize();
-  } else if (ds_client) {
-    ds_client->finalize();
-  } else if (dimes_client) {
-    dimes_client->finalize();
+    co_await client->finalize();
   }
 }
 
 // ---------------------------------------------------------------------------
-// Analytics-rank process for the non-Decaf methods.
+// Analytics rank: fetch each step's box, then analyze it.
 // ---------------------------------------------------------------------------
 
-sim::Task<> ana_rank(Ctx& ctx, int a) {
+sim::Task<> reader_rank(Ctx& ctx, int a) {
   const Spec& spec = ctx.spec;
   mem::ProcessMemory& memory = *ctx.ana_mem[static_cast<std::size_t>(a)];
+  auto name = [&] { return std::string(ctx.names.reader) + " " +
+                          std::to_string(a); };
   const nda::Box my_box = reader_box(spec, a);
   const std::uint64_t box_bytes = my_box.volume() * nda::kElementBytes;
 
@@ -487,59 +460,18 @@ sim::Task<> ana_rank(Ctx& ctx, int a) {
   mem::ScopedAlloc state(memory, mem::Tag::kCalculation, 2 * box_bytes,
                          &state_status);
   if (!state_status.is_ok()) {
-    ctx.fail("analytics rank " + std::to_string(a) + ": " +
-             state_status.to_string());
+    ctx.fail(name() + ": " + state_status.to_string());
     co_return;
   }
 
-  std::unique_ptr<dataspaces::DataSpaces::Client> ds_client;
-  std::unique_ptr<dimes::Dimes::Client> dimes_client;
-  std::unique_ptr<flexpath::Flexpath::Reader> fp_reader;
-  std::unique_ptr<adios::Io> io;
   const net::Endpoint self = ctx.ana_ep(a);
-  if (ctx.ds) {
-    ds_client = std::make_unique<dataspaces::DataSpaces::Client>(*ctx.ds, self,
-                                                                 memory);
-  }
-  if (ctx.dimes) {
-    dimes_client =
-        std::make_unique<dimes::Dimes::Client>(*ctx.dimes, self, memory);
-  }
-  if (ctx.flexpath) {
-    co_await ctx.writers_ready->wait();  // subscribe after publishers exist
-    fp_reader = std::make_unique<flexpath::Flexpath::Reader>(*ctx.flexpath,
-                                                             self, memory);
-  }
-  if (via_adios(spec.method)) {
-    adios::Io::Backends backends;
-    backends.dataspaces = ds_client.get();
-    backends.dimes = dimes_client.get();
-    backends.flexpath_reader = fp_reader.get();
-    backends.lustre = ctx.fs.get();
-    backends.node = self.node;
-    io = std::make_unique<adios::Io>(ctx.engine, ctx.adios_config,
-                                     ctx.adios_group, backends, memory,
-                                     spec.machine.cpu_speed);
-  }
-
-  // MPI-IO is post-processing: wait until the simulation completed.
-  if (spec.method == MethodSel::kMpiIo) {
-    co_await ctx.sim_finished->wait();
-  }
-
-  const std::string base_path =
-      "/scratch/" + std::string(to_string(spec.app)) + ".bp";
-  Status init_status = Status::ok();
-  if (via_adios(spec.method) && spec.method != MethodSel::kMpiIo) {
-    init_status = co_await io->open_read(base_path);
-  } else if (ds_client) {
-    init_status = co_await ds_client->init();
-  } else if (dimes_client) {
-    init_status = co_await dimes_client->init();
-  }
-  if (!init_status.is_ok()) {
-    ctx.fail("analytics rank " + std::to_string(a) + " init: " +
-             init_status.to_string());
+  std::unique_ptr<staging::Client> client =
+      make_client(ctx, staging::Role::kReader, a, self, memory);
+  const staging::Coupling coupling = client->coupling();
+  if (coupling.readers_open_after_writers) co_await ctx.writers_ready->wait();
+  if (coupling.readers_after_writers) co_await ctx.sim_finished->wait();
+  if (Status st = co_await client->open(); !st.is_ok()) {
+    ctx.fail(name() + ctx.names.open + ": " + st.to_string());
     co_return;
   }
 
@@ -552,43 +484,22 @@ sim::Task<> ana_rank(Ctx& ctx, int a) {
     const double t0 = ctx.engine.now();
     trace::Span staging_span = trace::span("ana.staging", track);
     staging_span.arg("step", step);
-    Result<nda::Slab> got = Status::ok();
-    if (via_adios(spec.method)) {
-      if (spec.method == MethodSel::kMpiIo) {
-        if (Status st = co_await io->open_read(base_path + "." +
-                                               std::to_string(step));
-            !st.is_ok()) {
-          ctx.fail("analytics open: " + st.to_string());
-          co_return;
-        }
-      }
-      got = co_await io->read(var, my_box);
-    } else if (ds_client) {
-      if (Status st = co_await ds_client->wait_version(var.name, step);
-          st.is_ok()) {
-        got = co_await ds_client->get(var, my_box);
-      } else {
-        got = st;
-      }
-    } else {
-      if (Status st = co_await dimes_client->wait_version(var.name, step);
-          st.is_ok()) {
-        got = co_await dimes_client->get(var, my_box);
-      } else {
-        got = st;
-      }
+    if (Status st = co_await client->begin_step(step); !st.is_ok()) {
+      ctx.fail("analytics open: " + st.to_string());
+      co_return;
     }
+    Result<nda::Slab> got = co_await client->get(var, my_box);
     staging_span.end();
     staging_s += ctx.engine.now() - t0;
     if (!got.has_value()) {
-      ctx.fail("analytics rank " + std::to_string(a) + " step " +
-               std::to_string(step) + ": " + got.status().to_string());
+      ctx.fail(name() + " step " + std::to_string(step) + ": " +
+               got.status().to_string());
       co_return;
     }
 
     // Analysis: real math over the (possibly sampled) content, plus the
     // calibrated compute cost.
-    double titan_seconds = 0;
+    double titan_seconds = 0.05;
     if (spec.app == AppSel::kLammps) {
       if (step == 0) reference = *got;
       const double msd = apps::mean_squared_displacement(reference, *got, 512,
@@ -600,8 +511,6 @@ sim::Task<> ana_rank(Ctx& ctx, int a) {
           apps::moment_analysis(*got, 4, 2048, ctx.sample_plans);
       if (a == 0) ctx.analysis_sample = moments.empty() ? 0 : moments[0];
       titan_seconds = apps::mta_titan_seconds_per_step(box_bytes);
-    } else {
-      titan_seconds = 0.05;
     }
     const double dt =
         spec.compute_scale * spec.machine.relative_compute_time(titan_seconds);
@@ -611,152 +520,15 @@ sim::Task<> ana_rank(Ctx& ctx, int a) {
     }
     compute_s += dt;
 
-    if (via_adios(spec.method)) {
-      if (Status st = co_await io->advance_step(step); !st.is_ok()) {
-        ctx.fail("advance_step: " + st.to_string());
-        co_return;
-      }
+    if (Status st = co_await client->end_step(step); !st.is_ok()) {
+      ctx.fail("advance_step: " + st.to_string());
+      co_return;
     }
   }
 
-  if (io) {
-    io->finalize();
-  } else if (ds_client) {
-    ds_client->finalize();
-  } else if (dimes_client) {
-    dimes_client->finalize();
-  }
+  co_await client->finalize();
   ctx.ana_done[static_cast<std::size_t>(a)] = ctx.engine.now();
   if (++ctx.ana_finished_count == spec.nana) ctx.ana_finished->set();
-}
-
-// ---------------------------------------------------------------------------
-// Decaf processes.
-// ---------------------------------------------------------------------------
-
-sim::Task<> decaf_producer(Ctx& ctx, int r) {
-  const Spec& spec = ctx.spec;
-  mem::ProcessMemory& memory = *ctx.sim_mem[static_cast<std::size_t>(r)];
-  WriterApp app =
-      make_writer(spec, r, ctx.run_kernel, ctx.laplace_kernel);
-  Status st_alloc;
-  mem::ScopedAlloc state(memory, mem::Tag::kCalculation, app.state_bytes(),
-                         &st_alloc);
-  if (!st_alloc.is_ok()) {
-    ctx.fail("decaf producer " + std::to_string(r) + ": " +
-             st_alloc.to_string());
-    co_return;
-  }
-  // The Decaf/Bredala client library pool (Fig. 5d: ~40% above the other
-  // libraries' clients).
-  mem::ScopedAlloc base(memory, mem::Tag::kLibrary,
-                        ctx.dflow->config().client_base_bytes, &st_alloc);
-  if (!st_alloc.is_ok()) {
-    ctx.fail("decaf producer " + std::to_string(r) + ": " +
-             st_alloc.to_string());
-    co_return;
-  }
-  auto& staging_s = ctx.sim_staging[static_cast<std::size_t>(r)];
-  auto& compute_s = ctx.sim_compute[static_cast<std::size_t>(r)];
-  const net::Endpoint self = ctx.sim_ep(r);
-  const trace::Track track{self.node->id(), self.pid};
-  for (int step = 0; step < spec.steps; ++step) {
-    app.advance(ctx.run_kernel);
-    double dt = spec.compute_scale *
-                spec.machine.relative_compute_time(app.titan_step_seconds());
-    if (fault::Injector* injector = fault::active()) {
-      dt *= injector->straggler_factor(r);
-    }
-    {
-      TRACE_SPAN("sim.compute", track.node, track.tid);
-      co_await ctx.engine.sleep(dt);
-    }
-    compute_s += dt;
-    const nda::Slab slab = app.output(step);
-    if (spec.gpu_resident_output && !spec.use_gpudirect) {
-      const std::uint64_t out_bytes = slab.box().volume() * nda::kElementBytes;
-      const double copy = static_cast<double>(out_bytes) /
-                          spec.machine.gpu_copy_bandwidth;
-      co_await ctx.engine.sleep(copy);
-      ctx.sim_gpu_copy[static_cast<std::size_t>(r)] += copy;
-    }
-    const double t0 = ctx.engine.now();
-    trace::Span staging_span = trace::span("sim.staging", track);
-    staging_span.arg("step", step);
-    Status st = co_await ctx.dflow->put(r, app.desc(step), slab);
-    staging_span.end();
-    staging_s += ctx.engine.now() - t0;
-    if (!st.is_ok()) {
-      ctx.fail("decaf producer " + std::to_string(r) + " step " +
-               std::to_string(step) + ": " + st.to_string());
-      co_return;
-    }
-  }
-  co_await ctx.dflow->stop(r, spec.steps);
-  ctx.sim_done[static_cast<std::size_t>(r)] = ctx.engine.now();
-  if (++ctx.sim_finished_count == spec.nsim) ctx.sim_finished->set();
-}
-
-sim::Task<> decaf_consumer(Ctx& ctx, int a) {
-  const Spec& spec = ctx.spec;
-  const nda::Box my_box = reader_box(spec, a);
-  const std::uint64_t box_bytes = my_box.volume() * nda::kElementBytes;
-  mem::ProcessMemory& memory = *ctx.ana_mem[static_cast<std::size_t>(a)];
-  Status st_alloc;
-  mem::ScopedAlloc state(memory, mem::Tag::kCalculation, 2 * box_bytes,
-                         &st_alloc);
-  if (!st_alloc.is_ok()) {
-    ctx.fail("decaf consumer " + std::to_string(a) + ": " +
-             st_alloc.to_string());
-    co_return;
-  }
-  mem::ScopedAlloc base(memory, mem::Tag::kLibrary,
-                        ctx.dflow->config().client_base_bytes, &st_alloc);
-  if (!st_alloc.is_ok()) {
-    ctx.fail("decaf consumer " + std::to_string(a) + ": " +
-             st_alloc.to_string());
-    co_return;
-  }
-  auto& staging_s = ctx.ana_staging[static_cast<std::size_t>(a)];
-  auto& compute_s = ctx.ana_compute[static_cast<std::size_t>(a)];
-  const net::Endpoint self = ctx.ana_ep(a);
-  const trace::Track track{self.node->id(), self.pid};
-  nda::Slab reference;
-  for (int step = 0; step < spec.steps; ++step) {
-    const nda::VarDesc var = global_desc(spec, step);
-    const double t0 = ctx.engine.now();
-    trace::Span staging_span = trace::span("ana.staging", track);
-    staging_span.arg("step", step);
-    auto got = co_await ctx.dflow->get(a, var, my_box);
-    staging_span.end();
-    staging_s += ctx.engine.now() - t0;
-    if (!got.has_value()) {
-      ctx.fail("decaf consumer " + std::to_string(a) + " step " +
-               std::to_string(step) + ": " + got.status().to_string());
-      co_return;
-    }
-    double titan_seconds = 0.05;
-    if (spec.app == AppSel::kLammps) {
-      if (step == 0) reference = *got;
-      const double msd = apps::mean_squared_displacement(reference, *got, 512,
-                                                         ctx.sample_plans);
-      if (a == 0) ctx.analysis_sample = msd;
-      titan_seconds = apps::msd_titan_seconds_per_step(box_bytes);
-    } else if (spec.app == AppSel::kLaplace) {
-      auto moments =
-          apps::moment_analysis(*got, 4, 2048, ctx.sample_plans);
-      if (a == 0) ctx.analysis_sample = moments.empty() ? 0 : moments[0];
-      titan_seconds = apps::mta_titan_seconds_per_step(box_bytes);
-    }
-    const double dt =
-        spec.compute_scale * spec.machine.relative_compute_time(titan_seconds);
-    {
-      TRACE_SPAN("ana.compute", track.node, track.tid);
-      co_await ctx.engine.sleep(dt);
-    }
-    compute_s += dt;
-  }
-  ctx.ana_done[static_cast<std::size_t>(a)] = ctx.engine.now();
 }
 
 }  // namespace
@@ -926,10 +698,12 @@ RunResult run(const Spec& spec) {
   std::vector<int> sim_node_set(ctx.sim_nodes.begin(), ctx.sim_nodes.end());
   sim_node_set.erase(std::unique(sim_node_set.begin(), sim_node_set.end()),
                      sim_node_set.end());
-  auto staging_nodes = [&](int count) {
+  auto staging_nodes = [&] {
     if (spec.shared_node_mode) return sim_node_set;
-    return ctx.cluster.allocate_nodes(count);
+    return ctx.cluster.allocate_nodes(
+        (servers + spec.servers_per_node - 1) / spec.servers_per_node);
   };
+  Status deployed = Status::ok();
   if (spec.method == MethodSel::kMpiIo) {
     ctx.fs = std::make_unique<lustre::FileSystem>(ctx.engine, ctx.fabric,
                                                   spec.machine);
@@ -939,15 +713,9 @@ RunResult run(const Spec& spec) {
     c.servers_per_node = spec.servers_per_node;
     c.use_32bit_dims = spec.use_32bit_dims;
     c.wait_retry_registration = spec.rdma_wait_retry;
-    auto ds = std::make_unique<dataspaces::DataSpaces>(ctx.engine, ctx.cluster,
-                                                       *ctx.transport, c);
-    const int nodes = (servers + c.servers_per_node - 1) / c.servers_per_node;
-    if (Status st = ds->deploy(staging_nodes(nodes)); !st.is_ok()) {
-      result.failures.push_back("deploy: " + st.to_string());
-      finish_trace();
-      return result;
-    }
-    ctx.ds = std::move(ds);
+    ctx.ds = std::make_unique<dataspaces::DataSpaces>(ctx.engine, ctx.cluster,
+                                                      *ctx.transport, c);
+    deployed = ctx.ds->deploy(staging_nodes());
   } else if (is_dimes(spec.method)) {
     dimes::Config c;
     c.num_servers = servers;
@@ -957,15 +725,9 @@ RunResult run(const Spec& spec) {
     c.rdma_buffer_bytes = spec.method == MethodSel::kDimesNative
                               ? 2048 * kMiB
                               : 1024 * kMiB;
-    auto dm = std::make_unique<dimes::Dimes>(ctx.engine, ctx.cluster,
-                                             *ctx.transport, c);
-    const int nodes = (servers + c.servers_per_node - 1) / c.servers_per_node;
-    if (Status st = dm->deploy(staging_nodes(nodes)); !st.is_ok()) {
-      result.failures.push_back("deploy: " + st.to_string());
-      finish_trace();
-      return result;
-    }
-    ctx.dimes = std::move(dm);
+    ctx.dimes = std::make_unique<dimes::Dimes>(ctx.engine, ctx.cluster,
+                                               *ctx.transport, c);
+    deployed = ctx.dimes->deploy(staging_nodes());
   } else if (spec.method == MethodSel::kFlexpath) {
     flexpath::Config c;
     c.queue_size = spec.flexpath_queue_size;
@@ -973,51 +735,9 @@ RunResult run(const Spec& spec) {
     c.num_readers = spec.nana;
     ctx.flexpath = std::make_unique<flexpath::Flexpath>(
         ctx.engine, ctx.cluster, *ctx.transport, c);
-  }
-
-  // ADIOS group description (programmatic; the XML path is exercised by the
-  // examples and the adios tests).
-  if (via_adios(spec.method)) {
-    adios::GroupDecl group;
-    group.name = std::string(to_string(spec.app));
-    switch (spec.method) {
-      case MethodSel::kMpiIo:
-        group.method = adios::Method::kMpiIo;
-        ctx.adios_config.stats = false;  // Table I: stats=off for MPI-IO
-        break;
-      case MethodSel::kDataspacesAdios:
-        group.method = adios::Method::kDataspaces;
-        break;
-      case MethodSel::kDimesAdios:
-        group.method = adios::Method::kDimes;
-        break;
-      case MethodSel::kFlexpath:
-        group.method = adios::Method::kFlexpath;
-        group.parameters = "queue_size=" +
-                           std::to_string(spec.flexpath_queue_size);
-        break;
-      default:
-        break;
-    }
-    const nda::VarDesc var = global_desc(spec, 0);
-    // Size the ADIOS buffer to the per-rank output plus headroom.
-    const std::uint64_t per_rank =
-        var.total_bytes() / static_cast<std::uint64_t>(spec.nsim);
-    ctx.adios_config.buffer_bytes = 2 * per_rank + 4 * kMiB;
-    ctx.adios_group = group;
-  }
-
-  // Spawn the processes.
-  if (spec.method == MethodSel::kDecaf) {
+  } else {
     // One world communicator: producers, dataflow ranks, consumers.
-    decaf::Graph graph;
-    graph.add_node("simulation", decaf::Role::kProducer, spec.nsim);
-    graph.add_node("dataflow", decaf::Role::kDataflow, servers);
-    graph.add_node("analytics", decaf::Role::kConsumer, spec.nana);
-
-    std::vector<int> placement;
-    placement.insert(placement.end(), ctx.sim_nodes.begin(),
-                     ctx.sim_nodes.end());
+    std::vector<int> placement = ctx.sim_nodes;
     auto dflow_nodes = ctx.cluster.place_block(servers, ppn);
     placement.insert(placement.end(), dflow_nodes.begin(), dflow_nodes.end());
     placement.insert(placement.end(), ctx.ana_nodes.begin(),
@@ -1025,41 +745,47 @@ RunResult run(const Spec& spec) {
     ctx.world = std::make_unique<mpi::Comm>(ctx.engine, ctx.fabric,
                                             ctx.cluster, placement);
     std::vector<mem::ProcessMemory*> rank_memory;
-    for (int r = 0; r < spec.nsim; ++r) {
-      rank_memory.push_back(ctx.sim_mem[static_cast<std::size_t>(r)].get());
-    }
+    for (const auto& m : ctx.sim_mem) rank_memory.push_back(m.get());
     for (int d = 0; d < servers; ++d) {
       ctx.world_mem.push_back(std::make_unique<mem::ProcessMemory>(
           ctx.engine, "dflow-" + std::to_string(d),
           &ctx.cluster.node(dflow_nodes[static_cast<std::size_t>(d)]).memory()));
       rank_memory.push_back(ctx.world_mem.back().get());
     }
-    for (int a = 0; a < spec.nana; ++a) {
-      rank_memory.push_back(ctx.ana_mem[static_cast<std::size_t>(a)].get());
-    }
+    for (const auto& m : ctx.ana_mem) rank_memory.push_back(m.get());
     decaf::Config dc;
     dc.cpu_speed = spec.machine.cpu_speed;
     ctx.dflow = std::make_unique<decaf::Dataflow>(
         ctx.engine, *ctx.world, 0, spec.nsim, spec.nsim, servers,
         spec.nsim + servers, spec.nana, dc, rank_memory);
+    ctx.names = {"decaf producer", "decaf consumer", ""};
+  }
+  if (!deployed.is_ok()) {
+    result.failures.push_back("deploy: " + deployed.to_string());
+    finish_trace();
+    return result;
+  }
 
-    for (int r = 0; r < spec.nsim; ++r) {
-      ctx.engine.spawn(decaf_producer(ctx, r));
-    }
-    for (int d = 0; d < servers; ++d) {
-      ctx.engine.spawn(ctx.dflow->dflow_loop(d));
-    }
-    for (int a = 0; a < spec.nana; ++a) {
-      ctx.engine.spawn(decaf_consumer(ctx, a));
-    }
-  } else {
-    // Simulation ranks get their own communicator for barriers/commits.
+  if (via_adios(spec.method)) {
+    ctx.adios_config.stats = spec.method != MethodSel::kMpiIo;  // Table I
+    // Size the ADIOS buffer to the per-rank output plus headroom.
+    const std::uint64_t per_rank = global_desc(spec, 0).total_bytes() /
+                                   static_cast<std::uint64_t>(spec.nsim);
+    ctx.adios_config.buffer_bytes = 2 * per_rank + 4 * kMiB;
+  }
+
+  // Spawn the processes. The writers share a communicator for their step
+  // barriers and commits, except Decaf's, which its dataflow couples.
+  if (!ctx.dflow) {
     ctx.sim_comm = std::make_unique<mpi::Comm>(ctx.engine, ctx.fabric,
                                                ctx.cluster, ctx.sim_nodes,
                                                /*job=*/0, /*pid_base=*/1000);
-    for (int r = 0; r < spec.nsim; ++r) ctx.engine.spawn(sim_rank(ctx, r));
-    for (int a = 0; a < spec.nana; ++a) ctx.engine.spawn(ana_rank(ctx, a));
   }
+  for (int r = 0; r < spec.nsim; ++r) ctx.engine.spawn(writer_rank(ctx, r));
+  for (int d = 0; ctx.dflow && d < servers; ++d) {
+    ctx.engine.spawn(ctx.dflow->dflow_loop(d));
+  }
+  for (int a = 0; a < spec.nana; ++a) ctx.engine.spawn(reader_rank(ctx, a));
 
   phase.emplace(trace::span("workflow.run", trace::Track{}));
   phase->pin();
@@ -1112,36 +838,28 @@ RunResult run(const Spec& spec) {
   for (const auto& m : ctx.ana_mem) {
     result.ana_rank_peak = std::max(result.ana_rank_peak, m->peak());
   }
-  auto fold_server = [&result](mem::ProcessMemory& m) {
-    result.server_peak = std::max(result.server_peak, m.peak());
+  // Staging servers and Decaf dataflow ranks, server 0 first.
+  std::vector<mem::ProcessMemory*> server_mem;
+  for (int s = 0; ctx.ds && s < ctx.ds->num_servers(); ++s) {
+    server_mem.push_back(&ctx.ds->server_memory(s));
+  }
+  for (int s = 0; ctx.dimes && s < ctx.dimes->num_servers(); ++s) {
+    server_mem.push_back(&ctx.dimes->server_memory(s));
+  }
+  for (const auto& m : ctx.world_mem) server_mem.push_back(m.get());
+  for (const mem::ProcessMemory* m : server_mem) {
+    result.server_peak = std::max(result.server_peak, m->peak());
     for (int t = 0; t < mem::kTagCount; ++t) {
       result.server_tag_peaks[static_cast<std::size_t>(t)] = std::max(
           result.server_tag_peaks[static_cast<std::size_t>(t)],
-          m.peak_of(static_cast<mem::Tag>(t)));
-    }
-  };
-  if (ctx.ds) {
-    for (int s = 0; s < ctx.ds->num_servers(); ++s) {
-      fold_server(ctx.ds->server_memory(s));
+          m->peak_of(static_cast<mem::Tag>(t)));
     }
   }
-  if (ctx.dimes) {
-    for (int s = 0; s < ctx.dimes->num_servers(); ++s) {
-      fold_server(ctx.dimes->server_memory(s));
-    }
-  }
-  for (const auto& m : ctx.world_mem) fold_server(*m);
 
   if (spec.capture_timelines) {
     if (!ctx.sim_mem.empty()) result.sim_timeline = ctx.sim_mem[0]->timeline();
     if (!ctx.ana_mem.empty()) result.ana_timeline = ctx.ana_mem[0]->timeline();
-    if (ctx.ds && ctx.ds->num_servers() > 0) {
-      result.server_timeline = ctx.ds->server_memory(0).timeline();
-    } else if (ctx.dimes && ctx.dimes->num_servers() > 0) {
-      result.server_timeline = ctx.dimes->server_memory(0).timeline();
-    } else if (!ctx.world_mem.empty()) {
-      result.server_timeline = ctx.world_mem[0]->timeline();
-    }
+    if (!server_mem.empty()) result.server_timeline = server_mem[0]->timeline();
   }
 
   for (int n = 0; n < ctx.cluster.node_count(); ++n) {

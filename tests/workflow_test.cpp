@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+
 #include "common/units.h"
 #include "workflow/workflow.h"
 
@@ -240,6 +243,94 @@ TEST(Workflow, MatchedSyntheticLayoutIsFaster) {
   ASSERT_TRUE(slow.ok) << slow.failure_summary();
   ASSERT_TRUE(fast.ok) << fast.failure_summary();
   EXPECT_GT(slow.sim_staging, fast.sim_staging * 1.5);
+}
+
+
+// --- GPU-resident output (§IV-B) --------------------------------------------
+
+// Bounces in a rank's memory timeline: a rise by exactly `bytes` whose next
+// sample comes `copy` seconds later, when the buffer is released.
+int bounces(const std::vector<mem::ProcessMemory::Sample>& timeline,
+            std::uint64_t bytes, double copy) {
+  int count = 0;
+  for (std::size_t i = 1; i + 1 < timeline.size(); ++i) {
+    if (timeline[i].total == timeline[i - 1].total + bytes &&
+        std::abs(timeline[i + 1].time - timeline[i].time - copy) < 1e-12) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+TEST(Workflow, EveryWriterChargesTheGpuBounceBuffer) {
+  // No staging library reads device memory, Decaf's Bredala included: each
+  // step's output passes through a host bounce buffer for the PCIe copy.
+  for (MethodSel method : {MethodSel::kDataspacesNative, MethodSel::kDecaf}) {
+    Spec spec;
+    spec.app = AppSel::kLammps;
+    spec.method = method;
+    spec.machine = hpc::titan();
+    spec.nsim = 16;
+    spec.nana = 8;
+    spec.steps = 2;
+    spec.gpu_resident_output = true;
+    spec.capture_timelines = true;
+    const RunResult result = run(spec);
+    ASSERT_TRUE(result.ok) << to_string(method) << ": "
+                           << result.failure_summary();
+    const std::uint64_t out_bytes = global_desc(spec, 0).total_bytes() /
+                                    static_cast<std::uint64_t>(spec.nsim);
+    const double copy =
+        static_cast<double>(out_bytes) / spec.machine.gpu_copy_bandwidth;
+    EXPECT_EQ(bounces(result.sim_timeline, out_bytes, copy), spec.steps)
+        << to_string(method);
+  }
+}
+
+// --- ADIOS over the native clients -------------------------------------------
+
+TEST(Workflow, AdiosGapIsTheStatsScanAlone) {
+  // The ADIOS decorator adds the group buffer and the min/max statistics
+  // scan to the client it wraps, and nothing else: X/ADIOS moves the same
+  // bytes as X/native, and each writer spends exactly the scan longer
+  // staging — per step, its output bytes at 10 GB/s scaled by cpu_speed.
+  const std::pair<MethodSel, MethodSel> pairs[] = {
+      {MethodSel::kDataspacesAdios, MethodSel::kDataspacesNative},
+      {MethodSel::kDimesAdios, MethodSel::kDimesNative}};
+  for (const auto& machine : {hpc::titan(), hpc::cori_knl()}) {
+    for (AppSel app : {AppSel::kLammps, AppSel::kSynthetic}) {
+      for (const auto& [adios, native] : pairs) {
+        Spec spec;
+        spec.app = app;
+        spec.machine = machine;
+        spec.nsim = 16;
+        spec.nana = 8;
+        spec.steps = 3;
+        spec.method = adios;
+        const RunResult framework = run(spec);
+        spec.method = native;
+        const RunResult direct = run(spec);
+        const std::string label = machine.name + " " +
+                                  std::string(to_string(app)) + " " +
+                                  std::string(to_string(adios));
+        ASSERT_TRUE(framework.ok && direct.ok) << label;
+        EXPECT_EQ(framework.bytes_moved, direct.bytes_moved) << label;
+        EXPECT_EQ(framework.transfers, direct.transfers) << label;
+        EXPECT_EQ(framework.server_peak, direct.server_peak) << label;
+        const double per_rank = static_cast<double>(
+            global_desc(spec, 0).total_bytes() /
+            static_cast<std::uint64_t>(spec.nsim));
+        const double scan =
+            spec.steps * per_rank / (10e9 * machine.cpu_speed);
+        EXPECT_NEAR(framework.sim_staging - direct.sim_staging, scan,
+                    1e-9 * scan)
+            << label;
+        EXPECT_NEAR(framework.end_to_end - direct.end_to_end, scan,
+                    1e-9 * scan)
+            << label;
+      }
+    }
+  }
 }
 
 }  // namespace
