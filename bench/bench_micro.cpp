@@ -6,7 +6,6 @@
 #include "apps/analysis.h"
 #include "apps/kernels.h"
 #include "bench_util.h"
-#include "common/hilbert.h"
 #include "dataspaces/dataspaces.h"
 #include "hpc/cluster.h"
 #include "ndarray/index.h"
@@ -85,8 +84,8 @@ BENCHMARK(BM_EngineSameInstantChurn)->Arg(4096);
 
 // Box-query pair: the staged-object lookup over a 16x16x16 decomposition of
 // a 256^3 domain (4096 objects), querying a 40^3 sub-box (27 hits). Scan is
-// the pre-index baseline (nda::intersecting); Index is the Hilbert-bucketed
-// grid the staging servers now use.
+// the pre-index baseline (nda::intersecting); Index is the bucketed grid
+// (nda::BoxIndex) the staging servers now use.
 const nda::Dims kQueryGlobal = {256, 256, 256};
 const nda::Box kQueryTarget({100, 100, 100}, {140, 140, 140});
 
@@ -217,7 +216,7 @@ BENCHMARK(BM_TraceSpanDisabled);
 void BM_TraceSpanEnabled(benchmark::State& state) {
   sim::Engine engine;
   trace::Recorder recorder(engine, "bench", 4096);
-  trace::ScopedRecorder bind(recorder);
+  BindWorld bind({.recorder = &recorder});
   std::size_t recorded = 0;
   for (auto _ : state) {
     TRACE_SPAN("bench.noop", 0, 0);
@@ -250,7 +249,7 @@ BENCHMARK(BM_ProfTimerDisabled);
 #if IMC_PROF_ENABLED
 void BM_ProfTimerEnabled(benchmark::State& state) {
   prof::Meter meter("bench");
-  prof::ScopedProf bind(meter);
+  BindWorld bind({.meter = &meter});
   for (auto _ : state) {
     PROF_TIMER("bench.noop");
     benchmark::ClobberMemory();
@@ -367,21 +366,23 @@ void BM_WorldSetupTeardownReused(benchmark::State& state) {
 }
 BENCHMARK(BM_WorldSetupTeardownReused);
 
-// Log capture + flush cost: format N lines into a buffered sink, then
-// move-flush the rope to the outer buffer. The chunked LogText append and
+// Log capture + flush cost: format N lines into a World's log capture,
+// then splice the rope onto an outer one. The chunked LogText append and
 // splice are what keep this linear in bytes with no intermediate copies.
 void BM_LogCaptureFlush(benchmark::State& state) {
   const int lines = static_cast<int>(state.range(0));
   std::size_t bytes = 0;
   for (auto _ : state) {
-    ScopedLogBuffer outer;
+    LogText outer;
+    LogText captured;
     {
-      ScopedLogBuffer inner;
+      BindWorld capture({.log = &captured});
       for (int i = 0; i < lines; ++i) {
         log_message(LogLevel::kWarn, "staged object advanced a step");
       }
-    }  // ~inner splices its rope into outer: chunk moves, no byte copies.
-    bytes = outer.take().size();
+    }
+    outer.splice(std::move(captured));  // chunk moves, no byte copies
+    bytes = outer.size();
     benchmark::DoNotOptimize(bytes);
   }
   state.SetItemsProcessed(state.iterations() * lines);
@@ -389,18 +390,6 @@ void BM_LogCaptureFlush(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_LogCaptureFlush)->Arg(1024);
-
-void BM_HilbertDistance(benchmark::State& state) {
-  std::vector<std::uint32_t> point = {12345, 6789};
-  std::uint64_t sum = 0;
-  for (auto _ : state) {
-    point[0] = (point[0] * 2654435761u) & 0x3ffff;
-    point[1] = (point[1] * 40503u) & 0x3ffff;
-    sum += hilbert_distance(point, 18);
-  }
-  benchmark::DoNotOptimize(sum);
-}
-BENCHMARK(BM_HilbertDistance);
 
 void BM_SlabExtract(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));

@@ -481,49 +481,33 @@ def rule_unordered_iteration(ctx):
 
 
 # ---------------------------------------------------------------------------
-# scoped-binding — thread-local bindings must be named stack guards
+# scoped-binding — the World guard must be a named stack object
 # ---------------------------------------------------------------------------
 
-# Scoped type -> accessor functions (with the qualifier that identifies
-# them) whose result the guard feeds. An accessor call *before* the guard
-# exists in the same scope reads the previous world's binding.
-_SCOPED_FAMILIES = {
-    # `global` alone is ambiguous between audit:: and trace::, so the
-    # unqualified form is only matched for accessors with unique names.
-    "ScopedAuditor": (("audit", "global"),),
-    "ScopedRecorder": (("trace", "global"), ("", "bound_recorder"),
-                       ("internal", "bound_recorder")),
-    "ScopedFaultPlan": (("fault", "active"), ("", "active")),
-    # `active` alone already belongs to ScopedFaultPlan, so the replication
-    # coordinator accessor is matched qualified-only.
-    "ScopedReplPolicy": (("repl", "active"),),
-    "ScopedArena": (("arena", "current"),),
-    "ScopedProf": (("prof", "meter"), ("", "bound_meter"),
-                   ("internal", "bound_meter")),
-    "ScopedLogBuffer": (),
-    "ScopedTraceBuffer": (),
-}
+# The guard that binds the current World (src/common/world.h), and the
+# accessors (with the qualifier that identifies them) whose result it feeds.
+# An accessor call *before* the guard exists in the same scope reads the
+# previous world's binding; `global`, `current` and `meter` match qualified
+# only.
+_GUARD = "BindWorld"
+_ACCESSORS = (
+    ("audit", "global"), ("trace", "global"), ("arena", "current"),
+    ("fault", "active"), ("repl", "active"), ("", "active"),
+    ("prof", "meter"), ("", "world"), ("imc", "world"),
+)
 
 
-def _inside_own_class(ts, i, name):
-    """True if token i sits inside `class <name> { ... }` (its definition)."""
-    open_i, _ = ts.enclosing_scope(i)
-    while open_i is not None:
-        j = ts.prev_code(open_i)
-        # Walk back over a base-clause / class head to the class keyword.
-        steps = 0
-        while j is not None and steps < 8:
-            if ts.tokens[j].text in ("class", "struct"):
-                k = ts.next_code(j)
-                if k is not None and ts.tokens[k].text == name:
-                    return True
-                break
-            if ts.tokens[j].text in (";", "}", "{"):
-                break
-            j = ts.prev_code(j)
-            steps += 1
-        open_i, _ = ts.enclosing_scope(open_i)
-    return False
+def _is_world_copy(ts, i):
+    """True for the `world()` at i in `World w = world();`: the copy the
+    guard is built from, which must read the enclosing World."""
+    j = ts.prev_code(i)
+    if j is not None and ts.tokens[j].text == "::":
+        j = ts.prev_code(ts.prev_code(j))  # over `imc ::`
+    for want in ("=", None, "World"):  # None: the variable name
+        if j is None or want is not None and ts.tokens[j].text != want:
+            return False
+        j = ts.prev_code(j)
+    return True
 
 
 def _is_accessor_call(ts, i, qual):
@@ -545,18 +529,17 @@ def rule_scoped_binding(ctx):
     toks = ts.tokens
     findings = []
     for i, tok in enumerate(toks):
-        if tok.kind != ID or tok.text not in _SCOPED_FAMILIES or tok.preproc:
+        if tok.kind != ID or tok.text != _GUARD or tok.preproc:
             continue
         pv = ts.prev_code(i)
         pt = toks[pv].text if pv is not None else ""
         nx = ts.next_code(i)
         nt = toks[nx].text if nx is not None else ""
-        # Skip declarations/definitions of the guards themselves.
+        # Skip declarations/definitions of the guard itself.
         if pt in ("explicit", "~", "class", "struct", "friend") or \
-                nt in ("::", "&", "*") or \
-                _inside_own_class(ts, i, tok.text):
+                nt in ("::", "&", "*"):
             continue
-        # Heap allocation: `new [ns::]ScopedX...`.
+        # Heap allocation: `new [ns::]BindWorld...`.
         j = pv
         while j is not None and toks[j].text == "::":
             j = ts.prev_code(j)          # qualifier name
@@ -573,27 +556,24 @@ def rule_scoped_binding(ctx):
             continue
         if toks[nx].kind == ID:
             # Named declaration — the good form. Check ordering: no
-            # accessor of this family may run earlier in this scope.
+            # accessor may run earlier in this scope.
             open_i, _ = ts.enclosing_scope(i)
             lo = open_i if open_i is not None else 0
             for k in range(lo, i):
                 t = toks[k]
-                if t.kind != ID or t.preproc:
-                    continue
-                for qual, fn in _SCOPED_FAMILIES[tok.text]:
-                    if t.text == fn and _is_accessor_call(ts, k, qual):
-                        findings.append(Finding(
-                            "scoped-binding", ctx.path, tok.line,
-                            f"{tok.text} is constructed after "
-                            f"{t.text}() was already called in this scope "
-                            f"(line {t.line}); the earlier call read the "
-                            "previous world's binding",
-                            "move the guard declaration above the first "
-                            "use of its accessor in the scope"))
-                        break
-                else:
-                    continue
-                break
+                if t.kind == ID and not t.preproc and any(
+                        t.text == fn and _is_accessor_call(ts, k, qual)
+                        for qual, fn in _ACCESSORS) and \
+                        not _is_world_copy(ts, k):
+                    findings.append(Finding(
+                        "scoped-binding", ctx.path, tok.line,
+                        f"{tok.text} is constructed after "
+                        f"{t.text}() was already called in this scope "
+                        f"(line {t.line}); the earlier call read the "
+                        "previous world's binding",
+                        "move the guard declaration above the first "
+                        "use of its accessor in the scope"))
+                    break
             continue
         if nt in ("(", "{"):
             close = ts.match_paren(nx) if nt == "(" else ts.match_brace(nx)
@@ -606,8 +586,6 @@ def rule_scoped_binding(ctx):
             stmt_prev = j if j is not None else pv
             sp = toks[stmt_prev].text if stmt_prev is not None else ";"
             if at == ";" and sp in (";", "{", "}", ")", ":"):
-                # `public: ScopedX();` inside the class is handled above;
-                # what is left is a real temporary statement.
                 findings.append(Finding(
                     "scoped-binding", ctx.path, tok.line,
                     f"temporary {tok.text} binds and immediately unbinds "
@@ -885,7 +863,7 @@ RULES = {
         "unseeded/global randomness"),
     "scoped-binding": (
         rule_scoped_binding, _everywhere,
-        "Scoped* guards must be named stack objects bound before use"),
+        "BindWorld guards must be named stack objects bound before use"),
     "adhoc-retry": (
         rule_adhoc_retry, _not_fault_layer,
         "hand-rolled retry loops outside fault::retry"),

@@ -55,17 +55,24 @@ fi
 
 # ThreadSanitizer pass over the sweep pool: the scenario fan-out and the
 # determinism harness run their worker threads under TSan, which would flag
-# any cross-world shared state the per-thread bindings missed.
-echo "==> TSan (sweep + check tests)"
+# any cross-world shared state the per-thread World missed. The pooled trace
+# and prof tests cover the World's chunk capture and lane meter on every
+# worker.
+echo "==> TSan (sweep + check tests, pooled trace + prof tests)"
 tsan_build="$repo/build-tsan"
 cmake -B "$tsan_build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=Debug \
   -DIMC_CHECK=ON \
   -DIMC_SANITIZE="thread" \
   ${CMAKE_GENERATOR:+-G "$CMAKE_GENERATOR"}
-cmake --build "$tsan_build" -j "$(nproc)" --target test_sweep test_check
+cmake --build "$tsan_build" -j "$(nproc)" \
+  --target test_sweep test_check test_trace test_prof
 IMC_THREADS=8 "$tsan_build/tests/test_sweep"
 IMC_THREADS=8 "$tsan_build/tests/test_check"
+IMC_THREADS=8 "$tsan_build/tests/test_trace" \
+  --gtest_filter='TraceDeterminism.*:TraceRouting.*'
+IMC_THREADS=8 "$tsan_build/tests/test_prof" \
+  --gtest_filter='ProfSweep.*:ProfDigestExclusion.*'
 
 # Release-mode bench smoke: builds the benches without sanitizers, runs the
 # hot-path microbench subset plus five fast scenarios, and asserts the run
@@ -169,6 +176,30 @@ echo "trace digests identical at IMC_THREADS=1 and 2: $d1"
 check_recorded "$d1" bench_fig2_end_to_end trace_digest
 rm -f "$smoke/fig2.trace.t1.json" "$smoke/fig2.trace.t2.json"
 
+# The two other recorded trace digests. tab4 is the only recorded trace
+# whose runs fail on purpose (RDMA memory, 32-bit dims, Decaf OOM, sockets,
+# DRC), so its failed ranks unwind under the run's World; fig11 is Decaf's.
+echo "==> trace digests (tab4, fig11: thread-count diff + recorded value)"
+cmake --build "$smoke" -j "$(nproc)" \
+  --target bench_tab4_robustness bench_fig11_decaf_servers
+for scenario in bench_tab4_robustness bench_fig11_decaf_servers; do
+  for t in 1 2; do
+    IMC_THREADS=$t IMC_TRACE_EVENTS=4096 \
+      IMC_TRACE="$smoke/$scenario.trace.t$t.json" \
+      "$smoke/bench/$scenario" >/dev/null
+  done
+  s1="$(python3 "$repo/scripts/check_trace.py" \
+    "$smoke/$scenario.trace.t1.json" --print-digest)"
+  s2="$(python3 "$repo/scripts/check_trace.py" \
+    "$smoke/$scenario.trace.t2.json" --print-digest)"
+  if [ "$s1" != "$s2" ]; then
+    echo "FAIL: $scenario trace digest depends on IMC_THREADS: $s1 vs $s2" >&2
+    exit 1
+  fi
+  check_recorded "$s1" "$scenario" trace_digest
+  rm -f "$smoke/$scenario.trace.t1.json" "$smoke/$scenario.trace.t2.json"
+done
+
 # Prof digest-exclusion gate: IMC_PROF is observability, never input. A
 # Fig. 2 run with the profiler on must leave stdout byte-identical and the
 # trace digest chain unchanged, while the trace gains a digest-free "prof"
@@ -271,9 +302,9 @@ check_recorded "${fifo_digest#chaos-invariant-digest: }" bench_ext_chaos \
 rm -f "$smoke/chaos.trace.t1.json" "$smoke/chaos.trace.t2.json" \
       "$smoke/chaos.t1.out" "$smoke/chaos.t2.out"
 
-# TSan over the chaos sweep: fault injection threads per-world injector
-# state through the same thread-local bindings as audit/trace; the chaos
-# run on the sweep pool is where a missed binding would race.
+# TSan over the chaos sweep: fault injection reaches per-world injector
+# state through the same per-thread World as audit/trace; the chaos run on
+# the sweep pool is where a missed binding would race.
 echo "==> TSan (chaos sweep)"
 cmake --build "$tsan_build" -j "$(nproc)" --target bench_ext_chaos
 IMC_THREADS=8 "$tsan_build/bench/bench_ext_chaos" >/dev/null

@@ -6,8 +6,6 @@
 namespace imc::arena {
 namespace {
 
-thread_local Arena* t_arena = nullptr;
-
 constexpr std::size_t kHeaderBytes = 16;
 
 // Frame header: owner (nullptr -> global heap) and the total block size
@@ -87,17 +85,9 @@ void Arena::reset() {
   cursor_used_ = 0;
 }
 
-Arena* current() { return t_arena; }
-
-ScopedArena::ScopedArena(Arena& arena) : previous_(t_arena) {
-  t_arena = &arena;
-}
-
-ScopedArena::~ScopedArena() { t_arena = previous_; }
-
 void* frame_allocate(std::size_t bytes) {
   const std::size_t total = bytes + kHeaderBytes;
-  Arena* arena = t_arena;
+  Arena* arena = current();
   void* base = arena != nullptr ? arena->allocate(total)
                                 : ::operator new(total);
   auto* header = static_cast<FrameHeader*>(base);

@@ -23,9 +23,9 @@
 //    lists and chunks as they are — reuse degrades gracefully instead of
 //    invalidating pointers.
 //
-// Binding mirrors audit::ScopedAuditor: a ScopedArena makes the arena
-// current() for this thread, bindings nest LIFO, and an unbound thread
-// simply uses the global heap — tests and tools never need an arena.
+// The current World's arena (common/world.h) is current(); a world with
+// none bound simply uses the global heap — tests and tools never need an
+// arena.
 //
 // Coroutine frames route through frame_allocate()/frame_free(), which
 // prepend a 16-byte header recording the owning arena and block size, so a
@@ -38,6 +38,8 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
+
+#include "common/world.h"
 
 namespace imc::arena {
 
@@ -100,21 +102,8 @@ class Arena {
   std::size_t reserved_bytes_ = 0;
 };
 
-// The arena bound to this thread, or nullptr (use the global heap).
-Arena* current();
-
-// Binds `arena` as this thread's allocation target for the scope's
-// lifetime. Bindings nest; the previous one is restored on destruction.
-class ScopedArena {
- public:
-  explicit ScopedArena(Arena& arena);
-  ~ScopedArena();
-  ScopedArena(const ScopedArena&) = delete;
-  ScopedArena& operator=(const ScopedArena&) = delete;
-
- private:
-  Arena* previous_;
-};
+// The current world's arena, or nullptr (use the global heap).
+inline Arena* current() { return world().arena; }
 
 // Coroutine-frame entry points (used by the promise operator new/delete of
 // sim::Task and the engine's detached-root wrapper). The header they

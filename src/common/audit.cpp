@@ -101,12 +101,6 @@ Auditor& detail::process_wide() {
   return auditor;
 }
 
-ScopedAuditor::ScopedAuditor(Auditor& auditor) : previous_(detail::t_bound) {
-  detail::t_bound = &auditor;
-}
-
-ScopedAuditor::~ScopedAuditor() { detail::t_bound = previous_; }
-
 bool runtime_enabled() {
   static const bool enabled = env::flag_or_die("IMC_CHECK", true);
   return enabled;

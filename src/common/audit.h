@@ -6,15 +6,12 @@
 // scenario teardown anything still outstanding is a leak — the simulated
 // analogue of the memory-growth failure modes the paper documents (F4/F8).
 //
-// Each simulated world is single-threaded, but the sweep layer (see
-// src/sweep/) runs many worlds concurrently on worker threads, so "the"
-// auditor is a thread-local binding: workflow::run (and every sweep job)
-// binds a fresh per-world Auditor via ScopedAuditor for its duration, and
-// the instrumentation hooks resolve global() to whatever is bound on the
-// calling thread. With no binding, global() falls back to a process-wide
-// auditor (direct API use outside any run). All hooks compile to no-ops
-// when the IMC_CHECK CMake option is off, and become runtime no-ops when
-// the IMC_CHECK *environment variable* is set to 0.
+// "The" auditor is the current World's ledger (common/world.h): a sweep
+// job charges its WorldContext's ledger, a direct workflow::run call its
+// own. With none bound, global() falls back to a process-wide auditor
+// (direct API use outside any run). All hooks compile to no-ops when the
+// IMC_CHECK CMake option is off, and become runtime no-ops when the
+// IMC_CHECK *environment variable* is set to 0.
 #pragma once
 
 #include <array>
@@ -26,6 +23,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/world.h"
 
 namespace imc::audit {
 
@@ -125,32 +123,15 @@ class Auditor {
 };
 
 namespace detail {
-// Innermost ScopedAuditor binding on this thread; null outside any scope.
-inline thread_local Auditor* t_bound = nullptr;
 Auditor& process_wide();
 }  // namespace detail
 
-// The auditor used by all instrumentation hooks: the innermost Auditor
-// bound on this thread via ScopedAuditor, else the process-wide fallback.
+// The auditor used by all instrumentation hooks: the current World's
+// ledger, else the process-wide fallback.
 inline Auditor& global() {
-  Auditor* bound = detail::t_bound;
+  Auditor* bound = world().auditor;
   return bound != nullptr ? *bound : detail::process_wide();
 }
-
-// Binds `auditor` as this thread's audit target for the scope's lifetime.
-// Bindings nest (the previous one is restored on destruction), keeping
-// IMC_CHECK leak ledgers attributed to the right world when scenario sweeps
-// run on a thread pool.
-class ScopedAuditor {
- public:
-  explicit ScopedAuditor(Auditor& auditor);
-  ~ScopedAuditor();
-  ScopedAuditor(const ScopedAuditor&) = delete;
-  ScopedAuditor& operator=(const ScopedAuditor&) = delete;
-
- private:
-  Auditor* previous_;
-};
 
 // Runtime gate: IMC_CHECK=0 in the environment disables the (compiled-in)
 // instrumentation hooks; unset or IMC_CHECK=1 leaves them on. Parsed once

@@ -3,15 +3,14 @@
 #include <atomic>
 #include <cstdio>
 
+#include "common/world.h"
+
 namespace imc {
 namespace {
 
 // Atomic so a sweep worker reading the level never races a test adjusting
 // it; ordering is irrelevant (the level is advisory).
 std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
-
-// Innermost ScopedLogBuffer bound on this thread; null -> write to stderr.
-thread_local ScopedLogBuffer* t_buffer = nullptr;
 
 // Flush accounting for imc::prof (bytes/chunks that reached the real
 // sink). Relaxed: the totals are advisory resource counters, never
@@ -75,37 +74,18 @@ void set_log_level(LogLevel level) {
 
 void log_message(LogLevel level, std::string_view msg) {
   if (level < log_level()) return;
-  if (t_buffer != nullptr) {
-    LogText& buffer = t_buffer->buffer_;
-    buffer.append("[");
-    buffer.append(level_name(level));
-    buffer.append("] ");
-    buffer.append(msg);
-    buffer.append("\n");
+  if (LogText* buffer = world().log) {
+    buffer->append("[");
+    buffer->append(level_name(level));
+    buffer->append("] ");
+    buffer->append(msg);
+    buffer->append("\n");
     return;
   }
   std::fprintf(stderr, "[%s] %.*s\n", level_name(level),
                static_cast<int>(msg.size()), msg.data());
   g_flushed_bytes.fetch_add(msg.size() + 1, std::memory_order_relaxed);
   g_flushed_chunks.fetch_add(1, std::memory_order_relaxed);
-}
-
-ScopedLogBuffer::ScopedLogBuffer() : previous_(t_buffer) { t_buffer = this; }
-
-ScopedLogBuffer::~ScopedLogBuffer() {
-  t_buffer = previous_;
-  // Flush anything captured but never take()n — e.g. when a sweep job
-  // throws and unwinds past its buffer — to the enclosing sink instead of
-  // silently dropping it. Ordering is best-effort on this path; callers
-  // that care about submission order still call take() and flush
-  // themselves.
-  if (!buffer_.empty()) {
-    if (previous_ != nullptr) {
-      previous_->buffer_.splice(std::move(buffer_));
-    } else {
-      write_log_output(buffer_);
-    }
-  }
 }
 
 void write_log_output(const LogText& text) {
@@ -117,14 +97,6 @@ void write_log_output(const LogText& text) {
   g_flushed_bytes.fetch_add(text.size(), std::memory_order_relaxed);
   g_flushed_chunks.fetch_add(text.chunks().size(),
                              std::memory_order_relaxed);
-}
-
-void write_log_output(std::string_view text) {
-  if (text.empty()) return;
-  std::fwrite(text.data(), 1, text.size(), stderr);
-  std::fflush(stderr);
-  g_flushed_bytes.fetch_add(text.size(), std::memory_order_relaxed);
-  g_flushed_chunks.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t log_flushed_bytes() {

@@ -1,11 +1,11 @@
 // Minimal leveled logger. Benches run with logging off by default; tests can
 // raise the level to debug a failing scenario.
 //
-// Sinks: by default every message goes straight to stderr. A thread that
-// binds a ScopedLogBuffer captures its messages instead — the sweep layer
-// (src/sweep/) binds one around every job so warnings emitted mid-scenario
-// can be flushed in submission order next to that scenario's results rather
-// than interleaving across worker threads.
+// Sinks: by default every message goes straight to stderr. A World whose
+// `log` field is set (common/world.h) captures its messages instead — the
+// sweep layer (src/sweep/) sets it for every job so warnings emitted
+// mid-scenario can be flushed in submission order next to that scenario's
+// results rather than interleaving across worker threads.
 #pragma once
 
 #include <cstddef>
@@ -25,8 +25,8 @@ void set_log_level(LogLevel level);
 void log_message(LogLevel level, std::string_view msg);
 
 // Captured log bytes as a chunked rope. Appends land in a reserved tail
-// chunk and handing the capture onward (take(), splice(), the unwind flush)
-// moves whole chunks, so a sweep job's log bytes are formatted once and
+// chunk and handing the capture onward (a move, splice()) moves whole
+// chunks, so a sweep job's log bytes are formatted once and
 // never copied again on their way to the submission-order flush. The
 // chunks are an implementation detail: observable output is the
 // concatenation in append order.
@@ -78,37 +78,12 @@ class LogText {
   std::size_t bytes_ = 0;
 };
 
-// While alive, log output on this thread is appended to this buffer instead
-// of being written to stderr. Bindings nest: the innermost buffer captures.
-// Call take() (then write_log_output) to emit what was captured in a
-// controlled order; anything still buffered at destruction is flushed to
-// the previous binding (or stderr) rather than dropped, so warnings survive
-// exception unwinds.
-class ScopedLogBuffer {
- public:
-  ScopedLogBuffer();
-  ~ScopedLogBuffer();
-  ScopedLogBuffer(const ScopedLogBuffer&) = delete;
-  ScopedLogBuffer& operator=(const ScopedLogBuffer&) = delete;
-
-  // Drains the captured bytes (formatted lines, newline-terminated) as a
-  // rope — chunk moves, no concatenation copy.
-  LogText take() { return std::move(buffer_); }
-  bool empty() const { return buffer_.empty(); }
-
- private:
-  friend void log_message(LogLevel, std::string_view);
-  LogText buffer_;
-  ScopedLogBuffer* previous_;
-};
-
 // Writes previously captured log bytes to the real sink (stderr). Exposed
 // so the sweep pool can flush per-job buffers in submission order.
 void write_log_output(const LogText& text);
-void write_log_output(std::string_view text);
 
 // Process-wide totals of log bytes/chunks written through the real sink
-// (both write_log_output overloads plus unbuffered log_message lines).
+// (write_log_output plus unbuffered log_message lines).
 // Monotonic, thread-safe, and never part of any digest: they feed the
 // imc::prof resource-accounting report, which asks "how much wall-clock
 // work did log flushing do", not "what did the simulation log".

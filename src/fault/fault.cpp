@@ -7,10 +7,6 @@
 namespace imc::fault {
 namespace {
 
-// Innermost binding for this thread; nullptr when no world has a fault plan
-// (the common case — fault-free runs never bind, so hooks see nullptr).
-thread_local Injector* bound_injector = nullptr;
-
 // Mixes the plan seed, operation key, kind discriminator, and attempt index
 // into one well-distributed draw. Double-hashing op_key keeps kinds sampled
 // for the same operation statistically independent.
@@ -155,14 +151,5 @@ sim::Task<Status> ride_out(sim::Engine& engine, double p,
     co_await engine.sleep(policy.backoff(attempt, op_key));
   }
 }
-
-Injector* active() { return bound_injector; }
-
-ScopedFaultPlan::ScopedFaultPlan(Injector& injector)
-    : previous_(bound_injector) {
-  bound_injector = &injector;
-}
-
-ScopedFaultPlan::~ScopedFaultPlan() { bound_injector = previous_; }
 
 }  // namespace imc::fault

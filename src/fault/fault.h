@@ -29,10 +29,10 @@
 // derived the same way, so sleep intervals — and therefore event timestamps
 // and trace digests — are byte-identical across schedules.
 //
-// Binding mirrors trace::ScopedRecorder: each world binds its Injector via a
-// thread-local ScopedFaultPlan (LIFO unwind); with no binding active()
-// returns nullptr and every hook is a no-op, so fault-free runs pay one
-// thread-local read on the instrumented paths.
+// Each world with a plan binds its Injector as the current World's `fault`
+// (common/world.h); with none bound active() returns nullptr and every hook
+// is a no-op, so fault-free runs pay one thread-local read on the
+// instrumented paths.
 #pragma once
 
 #include <algorithm>
@@ -44,6 +44,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/world.h"
 #include "sim/engine.h"
 #include "sim/task.h"
 
@@ -188,22 +189,7 @@ class Injector {
 
 // The Injector bound to the current world, or nullptr when fault injection
 // is off (the common case — hooks must treat nullptr as "no faults").
-Injector* active();
-
-// Binds `injector` as this thread's fault plan for the scope's lifetime;
-// restores the previous binding (LIFO) on destruction. workflow::run binds
-// one per world when Spec::fault.any(), exactly like audit/trace, so sweeps
-// stay isolated.
-class ScopedFaultPlan {
- public:
-  explicit ScopedFaultPlan(Injector& injector);
-  ScopedFaultPlan(const ScopedFaultPlan&) = delete;
-  ScopedFaultPlan& operator=(const ScopedFaultPlan&) = delete;
-  ~ScopedFaultPlan();
-
- private:
-  Injector* previous_;
-};
+inline Injector* active() { return world().fault; }
 
 // True for errors worth retrying: the resource may free up or the transient
 // may clear. Hard errors (kNotFound, kInvalidArgument, ...) are not.

@@ -7,10 +7,10 @@
 #include "apps/analysis.h"          // MSD / MTA analytics
 #include "apps/apps.h"              // LAMMPS / Laplace / synthetic workloads
 #include "apps/kernels.h"           // the real LJ-melt and Jacobi kernels
-#include "common/hilbert.h"         // n-D Hilbert space-filling curve
 #include "common/rng.h"             // deterministic RNG
 #include "common/status.h"          // Status / Result error vocabulary
 #include "common/units.h"           // byte/time units and formatting
+#include "common/world.h"           // the current world's binding (imc::World)
 #include "dataspaces/dataspaces.h"  // DataSpaces staging
 #include "dataspaces/locks.h"       // the named-lock service (lock_type 1/2/3)
 #include "dataspaces/regions.h"     // region decomposition + SFC index model

@@ -19,37 +19,6 @@
 namespace imc::prof {
 namespace {
 
-// Innermost per-thread binding (stack via ScopedProf::previous_).
-thread_local Meter* t_meter = nullptr;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void append_stats_json(std::string* out,
                        const std::map<std::string, trace::Stat>& stats) {
   out->append("{");
@@ -58,7 +27,7 @@ void append_stats_json(std::string* out,
     if (!first) out->append(",");
     first = false;
     out->append("\n\"");
-    out->append(json_escape(name));
+    out->append(trace::json_escape(name));
     out->append("\":{\"kind\":\"");
     out->push_back(stat.kind);
     out->append("\",\"count\":");
@@ -159,22 +128,6 @@ void Meter::bump(const char* name, char kind, double v) {
   stat.last = v;
 }
 
-// --- Thread-local binding ------------------------------------------------
-
-namespace internal {
-Meter* bound_meter() {
-  return t_meter;
-}
-}  // namespace internal
-
-ScopedProf::ScopedProf(Meter& m) : previous_(t_meter) {
-  t_meter = &m;
-}
-
-ScopedProf::~ScopedProf() {
-  t_meter = previous_;
-}
-
 // --- Collector -----------------------------------------------------------
 
 void Collector::fold(const Meter& m) {
@@ -212,9 +165,9 @@ std::string Collector::to_json() const {
   out.append(",\"page_size\":");
   out.append(trace::format_number(static_cast<double>(h.page_size)));
   out.append(",\"cpu_model\":\"");
-  out.append(json_escape(h.cpu_model));
+  out.append(trace::json_escape(h.cpu_model));
   out.append("\",\"build_type\":\"");
-  out.append(json_escape(h.build_type));
+  out.append(trace::json_escape(h.build_type));
   out.append("\"},\n\"rusage\":{\"ok\":");
   out.append(usage.ok ? "true" : "false");
   out.append(",\"max_rss_kb\":");
@@ -241,7 +194,7 @@ std::string Collector::to_json() const {
       if (!first) out.append(",");
       first = false;
       out.append("\n\"");
-      out.append(json_escape(lane));
+      out.append(trace::json_escape(lane));
       out.append("\":");
       append_stats_json(&out, stats);
     }

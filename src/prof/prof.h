@@ -22,9 +22,8 @@
 //     thread, the sequential path). Aggregates named phase timings
 //     (histograms), counters, and sampled levels. Not thread-safe; owned
 //     by exactly one thread at a time.
-//   - ScopedProf: binds a Meter thread-locally (LIFO, innermost wins) so
-//     hooks below attribute to the right lane — same discipline as
-//     audit::ScopedAuditor / trace::ScopedRecorder / fault::ScopedFaultPlan.
+//   - The current World's meter (common/world.h) is the lane the hooks
+//     below attribute to; sweep::Pool binds one per lane.
 //   - Timer / PROF_TIMER: RAII wall-clock phase timer; inert (no clock
 //     read) when no meter is bound.
 //   - Collector: process-global, thread-safe fold target. Lanes merge by
@@ -46,6 +45,7 @@
 #include <string>
 #include <utility>
 
+#include "common/world.h"
 #include "trace/trace.h"
 
 #if defined(IMC_PROF) && IMC_PROF
@@ -110,31 +110,14 @@ class Meter {
   std::map<std::string, trace::Stat> stats_;
 };
 
-namespace internal {
-// Innermost thread-local binding, or nullptr (profiling off / not a lane).
-Meter* bound_meter();
-}  // namespace internal
-
-// The meter for the current lane, or nullptr. With the IMC_PROF compile
-// option OFF this is a constexpr nullptr and every hook below folds away.
+// The meter for the current lane, or nullptr (profiling off / not a lane).
+// With the IMC_PROF compile option OFF this is a constexpr nullptr and
+// every hook below folds away.
 #if IMC_PROF_ENABLED
-inline Meter* meter() { return internal::bound_meter(); }
+inline Meter* meter() { return world().meter; }
 #else
 constexpr Meter* meter() { return nullptr; }
 #endif
-
-// Binds `m` as this thread's lane for the scope's lifetime; restores the
-// previous binding (LIFO) on destruction, so nested lanes unwind correctly.
-class ScopedProf {
- public:
-  explicit ScopedProf(Meter& m);
-  ScopedProf(const ScopedProf&) = delete;
-  ScopedProf& operator=(const ScopedProf&) = delete;
-  ~ScopedProf();
-
- private:
-  Meter* previous_;
-};
 
 // RAII phase timer. A default-constructed or null-meter timer is inert and
 // never reads the clock. stop() ends the phase early (before scope exit).

@@ -3,13 +3,6 @@
 #include "trace/trace.h"
 
 namespace imc::repl {
-namespace {
-
-// Innermost binding for this thread; nullptr when no world replicates (the
-// common case — unreplicated runs never bind, so hooks see nullptr).
-thread_local Coordinator* bound_coordinator = nullptr;
-
-}  // namespace
 
 void Coordinator::note_replica_put(std::uint64_t bytes) {
   ++stats_.replica_puts;
@@ -48,14 +41,5 @@ void Coordinator::note_redundancy_restored(double seconds) {
   stats_.time_to_restore = std::max(stats_.time_to_restore, seconds);
   trace::count("repl.restores");
 }
-
-Coordinator* active() { return bound_coordinator; }
-
-ScopedReplPolicy::ScopedReplPolicy(Coordinator& coordinator)
-    : previous_(bound_coordinator) {
-  bound_coordinator = &coordinator;
-}
-
-ScopedReplPolicy::~ScopedReplPolicy() { bound_coordinator = previous_; }
 
 }  // namespace imc::repl

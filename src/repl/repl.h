@@ -17,9 +17,9 @@
 //    the note_* hooks mirror into `repl.*` trace counters exactly like
 //    fault::Injector's do, and workflow::run folds the stats into
 //    RunResult::ReplStats.
-//  * ScopedReplPolicy — the thread-local LIFO binding (same contract as
-//    ScopedFaultPlan / ScopedProf): with no binding active() returns
-//    nullptr and every replication path degenerates to factor 1.
+//  * active() — the current World's coordinator (common/world.h): with
+//    none bound it returns nullptr and every replication path degenerates
+//    to factor 1.
 //
 // Determinism contract (DESIGN.md §15): replica placement is a pure
 // function of the region id — chain position k of region r on ns servers is
@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "common/world.h"
 #include "fault/fault.h"
 
 namespace imc::repl {
@@ -121,21 +122,6 @@ class Coordinator {
 
 // The Coordinator bound to the current world, or nullptr when replication
 // is off (the common case — callers must treat nullptr as factor 1).
-Coordinator* active();
-
-// Binds `coordinator` as this thread's replication policy for the scope's
-// lifetime; restores the previous binding (LIFO) on destruction.
-// workflow::run binds one per world exactly like audit/trace/fault, so
-// sweeps stay isolated.
-class ScopedReplPolicy {
- public:
-  explicit ScopedReplPolicy(Coordinator& coordinator);
-  ScopedReplPolicy(const ScopedReplPolicy&) = delete;
-  ScopedReplPolicy& operator=(const ScopedReplPolicy&) = delete;
-  ~ScopedReplPolicy();
-
- private:
-  Coordinator* previous_;
-};
+inline Coordinator* active() { return world().repl; }
 
 }  // namespace imc::repl

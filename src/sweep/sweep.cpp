@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/env.h"
+#include "common/world.h"
 #include "prof/prof.h"
 
 namespace imc::sweep {
@@ -67,11 +68,19 @@ void note_world_stats(prof::Meter& m, const arena::Arena& arena,
 }  // namespace
 
 void WorldContext::run(const std::function<void()>& job) {
-  // Rewind, then bind. The ledger clears unconditionally; the arena only
-  // rewinds its cursor when no blocks are outstanding (a leaked frame keeps
-  // its storage valid and merely forgoes the rewind).
+  // Rewind, then bind. The ledger and captures clear unconditionally; the
+  // arena only rewinds its cursor when no blocks are outstanding (a leaked
+  // frame keeps its storage valid and merely forgoes the rewind).
   auditor_.reset();
   arena_.reset();
+  logs_.clear();
+  chunks_.clear();
+  World w = world();
+  w.auditor = &auditor_;
+  w.arena = &arena_;
+  w.log = &logs_;
+  w.chunks = &chunks_;
+  BindWorld bind(w);
   // Per-job resource accounting needs before-values of the cumulative
   // arena counters; prof::meter() is a constexpr nullptr when the IMC_PROF
   // compile option is off, so all of this folds away.
@@ -79,27 +88,17 @@ void WorldContext::run(const std::function<void()>& job) {
   const std::uint64_t allocations0 = meter ? arena_.allocations() : 0;
   const std::uint64_t pool_hits0 = meter ? arena_.pool_hits() : 0;
   const std::uint64_t heap_fallbacks0 = meter ? arena_.heap_fallbacks() : 0;
-  audit::ScopedAuditor audit_scope(auditor_);
-  arena::ScopedArena arena_scope(arena_);
-  ScopedLogBuffer log_buffer;
-  trace::ScopedTraceBuffer trace_buffer;
+  std::exception_ptr error;
   try {
     job();
   } catch (...) {
-    logs_ = log_buffer.take();
-    chunks_ = trace_buffer.take();
-    if (meter != nullptr) {
-      note_world_stats(*meter, arena_, allocations0, pool_hits0,
-                       heap_fallbacks0, logs_, chunks_);
-    }
-    throw;
+    error = std::current_exception();
   }
-  logs_ = log_buffer.take();
-  chunks_ = trace_buffer.take();
   if (meter != nullptr) {
     note_world_stats(*meter, arena_, allocations0, pool_hits0,
                      heap_fallbacks0, logs_, chunks_);
   }
+  if (error) std::rethrow_exception(error);
 }
 
 int default_threads() {
@@ -128,11 +127,12 @@ void Pool::run_indexed(std::size_t n,
     // Sequential path: jobs run inline in submission order on one reused
     // context; each job's log flushes as soon as it finishes, trace chunks
     // emit in order, exceptions propagate immediately (after flushing).
-    WorldContext world;
+    WorldContext context;
     prof::Meter meter("sequential");
-    std::optional<prof::ScopedProf> prof_scope;
+    World lane = world();
+    if (prof_on) lane.meter = &meter;
+    BindWorld bind(lane);
     const double lane_start = prof_on ? prof::wall_seconds() : 0.0;
-    if (prof_on) prof_scope.emplace(meter);
     auto fold_lane = [&meter, prof_on, lane_start] {
       if (!prof_on) return;
       meter.timing("worker.span", prof::wall_seconds() - lane_start);
@@ -141,12 +141,12 @@ void Pool::run_indexed(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) {
       prof::Timer run_timer = prof::timer("job.run");
       try {
-        world.run([&fn, i] { fn(i); });
+        context.run([&fn, i] { fn(i); });
       } catch (...) {
         run_timer.stop();
         prof::Timer flush_timer = prof::timer("job.flush");
-        write_log_output(world.take_logs());
-        for (trace::RunChunk& chunk : world.take_chunks()) {
+        write_log_output(context.take_logs());
+        for (trace::RunChunk& chunk : context.take_chunks()) {
           trace::emit_chunk(std::move(chunk));
         }
         flush_timer.stop();
@@ -156,8 +156,8 @@ void Pool::run_indexed(std::size_t n,
       run_timer.stop();
       prof::count("jobs");
       prof::Timer flush_timer = prof::timer("job.flush");
-      write_log_output(world.take_logs());
-      for (trace::RunChunk& chunk : world.take_chunks()) {
+      write_log_output(context.take_logs());
+      for (trace::RunChunk& chunk : context.take_chunks()) {
         trace::emit_chunk(std::move(chunk));
       }
       flush_timer.stop();
@@ -183,10 +183,11 @@ void Pool::run_indexed(std::size_t n,
   // separate from worker idle time. Meters live out here so they survive
   // the workers and fold after the join.
   prof::Meter caller_meter("caller");
-  std::optional<prof::ScopedProf> caller_scope;
+  World caller_lane = world();
+  if (prof_on) caller_lane.meter = &caller_meter;
+  BindWorld bind_caller(caller_lane);
   std::vector<std::unique_ptr<prof::Meter>> worker_meters;
   if (prof_on) {
-    caller_scope.emplace(caller_meter);
     caller_meter.sample("pool.width", static_cast<double>(width));
     worker_meters.reserve(width);
     for (std::size_t w = 0; w < width; ++w) {
@@ -200,14 +201,15 @@ void Pool::run_indexed(std::size_t n,
                &worker_meters](std::size_t w) {
     // One reusable world per worker: auditor ledgers, arena chunks, and
     // capture buffers are recruited once and rebound per job.
-    WorldContext world;
+    WorldContext context;
+    World lane = world();
+    if (prof_on) lane.meter = worker_meters[w].get();
+    BindWorld bind(lane);
     std::vector<trace::SpanEvent>& spans = worker_spans[w];
     double idle_since = spans_on ? seconds_since(origin) : 0.0;
-    std::optional<prof::ScopedProf> prof_scope;
     double lane_start = 0.0;
     double idle_mark = 0.0;
     if (prof_on) {
-      prof_scope.emplace(*worker_meters[w]);
       lane_start = prof::wall_seconds();
       idle_mark = lane_start;
     }
@@ -229,15 +231,15 @@ void Pool::run_indexed(std::size_t n,
       }
       prof::Timer run_timer = prof::timer("job.run");
       try {
-        world.run([&fn, i] { fn(i); });
+        context.run([&fn, i] { fn(i); });
       } catch (...) {
         errors[i] = std::current_exception();
         abort.store(true, std::memory_order_release);
       }
       run_timer.stop();
       prof::count("jobs");
-      logs[i] = world.take_logs();
-      chunks[i] = world.take_chunks();
+      logs[i] = context.take_logs();
+      chunks[i] = context.take_chunks();
       if (prof_on) idle_mark = prof::wall_seconds();
       if (spans_on) {
         const double now = seconds_since(origin);

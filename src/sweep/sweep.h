@@ -8,10 +8,11 @@
 //
 //  * results are returned in submission order, so the caller's print loop
 //    is untouched and stdout does not depend on the thread count;
-//  * every job runs under per-world state isolation: a fresh audit::Auditor
-//    is bound thread-locally for its duration (IMC_CHECK leak ledgers stay
-//    attributed to the right run) and its log output is captured by a
-//    ScopedLogBuffer, then flushed to stderr in submission order;
+//  * every job runs under per-world state isolation: its worker's
+//    WorldContext binds a reset leak ledger, a rewound arena and log and
+//    trace-chunk captures as the job's World (common/world.h), so IMC_CHECK
+//    leak ledgers stay attributed to the right run and its log output is
+//    flushed to stderr in submission order;
 //  * an exception from a failing job propagates to the submitter after all
 //    in-flight jobs finish and every worker is joined — no detached
 //    threads, no half-written slots.
@@ -58,10 +59,11 @@ class WorldContext {
   WorldContext(const WorldContext&) = delete;
   WorldContext& operator=(const WorldContext&) = delete;
 
-  // Runs `job` under this context's thread-local bindings (auditor, arena,
-  // log capture, trace-chunk capture; innermost-wins, LIFO nesting).
-  // Captured logs and trace chunks are retained — also when the job throws
-  // — until taken; take them before the next run() or they are replaced.
+  // Runs `job` with this context's ledger, arena, log capture and
+  // trace-chunk capture bound as the current World; the rest of the
+  // caller's World (the lane's meter) is inherited. Captured logs and trace
+  // chunks are retained — also when the job throws — until taken; take
+  // them before the next run() or they are replaced.
   void run(const std::function<void()>& job);
 
   // Captured output of the last run() (move-out, destructive).

@@ -10,11 +10,6 @@
 #include "common/log.h"
 
 namespace imc::trace {
-namespace {
-
-// Innermost per-thread binding (stack via ScopedRecorder::previous_).
-thread_local Recorder* t_recorder = nullptr;
-thread_local ScopedTraceBuffer* t_trace_buffer = nullptr;
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -43,6 +38,8 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 // Simulated seconds -> integer microseconds for trace_event ts/dur.
 long long to_micros(double seconds) {
@@ -218,44 +215,9 @@ RunChunk Recorder::take_chunk() {
   return chunk;
 }
 
-// --- Thread-local bindings ----------------------------------------------
-
-namespace internal {
-Recorder* bound_recorder() {
-  return t_recorder;
-}
-}  // namespace internal
-
-ScopedRecorder::ScopedRecorder(Recorder& recorder) : previous_(t_recorder) {
-  t_recorder = &recorder;
-}
-
-ScopedRecorder::~ScopedRecorder() {
-  t_recorder = previous_;
-}
-
-ScopedTraceBuffer::ScopedTraceBuffer() : previous_(t_trace_buffer) {
-  t_trace_buffer = this;
-}
-
-ScopedTraceBuffer::~ScopedTraceBuffer() {
-  t_trace_buffer = previous_;
-  // Forward anything not take()n instead of dropping it; ordering is the
-  // caller's problem only if it cared enough to call take().
-  for (RunChunk& chunk : chunks_) {
-    emit_chunk(std::move(chunk));
-  }
-}
-
-std::vector<RunChunk> ScopedTraceBuffer::take() {
-  std::vector<RunChunk> out;
-  out.swap(chunks_);
-  return out;
-}
-
 void emit_chunk(RunChunk chunk) {
-  if (t_trace_buffer != nullptr) {
-    t_trace_buffer->chunks_.push_back(std::move(chunk));
+  if (std::vector<RunChunk>* capture = world().chunks) {
+    capture->push_back(std::move(chunk));
     return;
   }
   if (Sink* sink = global_sink()) {

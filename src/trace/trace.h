@@ -3,9 +3,9 @@
 // Every event is stamped with sim::Engine::now() — never the wall clock —
 // so a trace is a pure function of the scenario: byte-identical across
 // IMC_THREADS settings and replays. A trace::Recorder belongs to exactly
-// one world (one Engine); workflow::run binds one per run through the
-// thread-local ScopedRecorder stack, mirroring audit::ScopedAuditor, so
-// sweeps at IMC_THREADS>1 attribute events to the right run.
+// one world (one Engine); workflow::run binds one per run as the current
+// World's recorder (common/world.h), so sweeps at IMC_THREADS>1 attribute
+// events to the right run.
 //
 // Three primitives:
 //   - spans:      RAII intervals (trace::span / TRACE_SPAN) with numeric args
@@ -23,8 +23,8 @@
 // null check per hook.
 //
 // Aggregation: each run's Recorder folds into a RunChunk (events + a
-// canonical metrics serialization + an FNV-1a digest). Chunks route through
-// the thread-local ScopedTraceBuffer stack so sweep::Pool can flush them in
+// canonical metrics serialization + an FNV-1a digest). Chunks land in the
+// current World's chunk capture so sweep::Pool can flush them in
 // submission order; the Sink digest is therefore independent of worker
 // count.
 #pragma once
@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/world.h"
 #include "sim/engine.h"
 
 #if defined(IMC_TRACE) && IMC_TRACE
@@ -190,34 +191,15 @@ class Span {
   std::vector<std::pair<std::string, double>> args_;
 };
 
-namespace internal {
-// Innermost thread-local binding, or nullptr. Unlike audit::global() there
-// is no process-wide fallback: an unbound thread means tracing is off.
-Recorder* bound_recorder();
-}  // namespace internal
-
-// The recorder for the current world, or nullptr when tracing is off. With
-// the IMC_TRACE compile option OFF this is a constexpr nullptr and every
+// The recorder for the current world, or nullptr when tracing is off.
+// Unlike audit::global() there is no process-wide fallback. With the
+// IMC_TRACE compile option OFF this is a constexpr nullptr and every
 // guarded hook below folds away.
 #if IMC_TRACE_ENABLED
-inline Recorder* global() { return internal::bound_recorder(); }
+inline Recorder* global() { return world().recorder; }
 #else
 constexpr Recorder* global() { return nullptr; }
 #endif
-
-// Binds `recorder` as the current world's recorder for this thread's
-// lifetime of the scope; restores the previous binding (LIFO) on
-// destruction, so nested worlds unwind correctly.
-class ScopedRecorder {
- public:
-  explicit ScopedRecorder(Recorder& recorder);
-  ScopedRecorder(const ScopedRecorder&) = delete;
-  ScopedRecorder& operator=(const ScopedRecorder&) = delete;
-  ~ScopedRecorder();
-
- private:
-  Recorder* previous_;
-};
 
 // --- Instrumentation hooks (the only API call sites should use) ---------
 
@@ -291,28 +273,9 @@ inline bool enabled() { return global_sink() != nullptr; }
 // metrics only).
 std::size_t event_limit();
 
-// Routes a finished run's chunk to the innermost ScopedTraceBuffer on this
-// thread, or straight to the global sink when none is bound.
+// Routes a finished run's chunk to the current World's chunk capture, or
+// straight to the global sink when none is bound.
 void emit_chunk(RunChunk chunk);
-
-// Captures chunks emitted on this thread so a sweep worker's runs can be
-// flushed in submission order by the pool. Destructor restores the previous
-// binding and forwards any un-taken chunks to it (or the sink) — same
-// flush-don't-drop contract as log::ScopedLogBuffer.
-class ScopedTraceBuffer {
- public:
-  ScopedTraceBuffer();
-  ScopedTraceBuffer(const ScopedTraceBuffer&) = delete;
-  ScopedTraceBuffer& operator=(const ScopedTraceBuffer&) = delete;
-  ~ScopedTraceBuffer();
-
-  std::vector<RunChunk> take();
-
- private:
-  friend void emit_chunk(RunChunk chunk);
-  ScopedTraceBuffer* previous_;
-  std::vector<RunChunk> chunks_;
-};
 
 // --- Canonical serialization helpers (shared with tests) ----------------
 
@@ -323,5 +286,7 @@ std::string format_number(double v);
 // 64-bit FNV-1a over `text`, seeded with `seed` so chunk digests chain.
 std::uint64_t fnv1a(const std::string& text,
                     std::uint64_t seed = 1469598103934665603ULL);
+// `s` escaped for a JSON string literal (quote, backslash, control bytes).
+std::string json_escape(const std::string& s);
 
 }  // namespace imc::trace

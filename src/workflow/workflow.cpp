@@ -8,6 +8,7 @@
 #include "common/arena.h"
 #include "common/audit.h"
 #include "common/rng.h"
+#include "common/world.h"
 #include "fault/fault.h"
 #include "prof/prof.h"
 #include "trace/trace.h"
@@ -260,7 +261,7 @@ struct Ctx {
   } names;
 
   bool run_kernel = false;
-  // Per-world memos (DESIGN.md §9 rule 3): the analytics' sample plans, and
+  // Per-world memos (DESIGN.md §9 rule 2): the analytics' sample plans, and
   // the one kernel every Laplace writer rank steps.
   apps::SamplePlans sample_plans;
   std::shared_ptr<apps::LaplaceKernel> laplace_kernel;
@@ -536,70 +537,51 @@ sim::Task<> reader_rank(Ctx& ctx, int a) {
 // ---------------------------------------------------------------------------
 
 RunResult run(const Spec& spec) {
-  // Each run audits into its own ledger, bound to this thread for the
-  // duration of the call: concurrent sweep workers (src/sweep/) each see
-  // only their own world's acquire/release pairs. Whatever is outstanding
-  // after full teardown below is a leak (RunResult::leaks).
-  audit::Auditor auditor;
-  audit::ScopedAuditor audit_scope(auditor);
-  // Coroutine frames for this world come from an arena: the enclosing
-  // sweep worker's reusable one (sweep::WorldContext) when bound, else a
-  // run-local arena. Declared before Ctx so it outlives the engine and
-  // every frame freed during teardown; the recursive MPI-IO fallback
-  // replay reuses the outer binding.
-  std::optional<arena::Arena> local_arena;
-  std::optional<arena::ScopedArena> arena_scope;
-  if (arena::current() == nullptr) {
-    local_arena.emplace();
-    arena_scope.emplace(*local_arena);
-  }
+  // Bound before Ctx: the world's leak ledger and frame arena, the sweep
+  // job's (sweep::WorldContext) when bound, else run-local ones that
+  // outlive Ctx. The reset makes each run, the MPI-IO fallback replay
+  // included, report only its own leaks (RunResult::leaks).
+  std::optional<audit::Auditor> own_auditor;
+  std::optional<arena::Arena> own_arena;
+  World run_world = world();
+  if (!run_world.auditor) run_world.auditor = &own_auditor.emplace();
+  if (!run_world.arena) run_world.arena = &own_arena.emplace();
+  run_world.auditor->reset();
+  BindWorld bind_world(run_world);
   RunResult result;
   Ctx ctx(spec);
-  // Fault injection binds per world like the auditor and tracer: only when
-  // the spec carries a plan, so fault-free runs never see an Injector.
-  std::unique_ptr<fault::Injector> injector;
-  std::optional<fault::ScopedFaultPlan> fault_scope;
-  if (spec.fault.any()) {
-    injector = std::make_unique<fault::Injector>(spec.fault);
-    fault_scope.emplace(*injector);
-  }
-  // Replication binds the same way: when the policy asks for copies (or a
-  // fault plan is active, so unreplicated chaos runs report zeroed
-  // durability stats through the same ledger).
-  std::unique_ptr<repl::Coordinator> repl_coordinator;
-  std::optional<repl::ScopedReplPolicy> repl_scope;
+  // Bound after Ctx, until finish_trace: a fault injector and a replication
+  // coordinator when the spec asks for them (a fault plan binds both, so
+  // unreplicated chaos runs report zeroed durability stats), and a
+  // recorder on ctx.engine's simulated clock when a trace sink is
+  // installed (IMC_TRACE=<path> or a test sink).
+  std::optional<fault::Injector> injector;
+  std::optional<repl::Coordinator> repl_coordinator;
+  std::optional<trace::Recorder> recorder;
+  World ctx_world = world();
+  if (spec.fault.any()) ctx_world.fault = &injector.emplace(spec.fault);
   if (spec.repl.replicated() || spec.fault.any()) {
-    repl_coordinator = std::make_unique<repl::Coordinator>(spec.repl);
-    repl_scope.emplace(*repl_coordinator);
+    ctx_world.repl = &repl_coordinator.emplace(spec.repl);
   }
-  // Tracing rides the same per-world binding scheme: when a sink is
-  // installed (IMC_TRACE=<path> or a test sink) each run records into its
-  // own Recorder, stamped exclusively with ctx.engine's simulated clock.
-  std::unique_ptr<trace::Recorder> recorder;
-  std::optional<trace::ScopedRecorder> trace_scope;
   if (trace::enabled()) {
-    recorder = std::make_unique<trace::Recorder>(ctx.engine, run_label(spec),
-                                                 trace::event_limit());
-    trace_scope.emplace(*recorder);
+    ctx_world.recorder = &recorder.emplace(ctx.engine, run_label(spec),
+                                           trace::event_limit());
   }
+  std::optional<BindWorld> bind_ctx(std::in_place, ctx_world);
   // Phase skeleton: deploy -> run -> teardown, pinned so truncation never
   // drops them. Inert (zero-cost beyond a null check) when tracing is off.
   std::optional<trace::Span> phase;
   phase.emplace(trace::span("workflow.deploy", trace::Track{}));
   phase->pin();
-  // Folds this run's events into a chunk for the sink; safe to call on any
-  // exit path once (no-op when tracing is off).
-  auto finish_trace = [&result, &recorder, &trace_scope, &phase] {
-    if (!recorder) {
-      phase.reset();
-      return;
-    }
+  // Unbinds the injector, coordinator and recorder and folds this run's
+  // events into a chunk for the sink; called once on every exit path.
+  auto finish_trace = [&result, &recorder, &bind_ctx, &phase] {
     phase.reset();
-    trace_scope.reset();
+    bind_ctx.reset();
+    if (!recorder) return;
     trace::RunChunk chunk = recorder->take_chunk();
     result.trace_digest = chunk.digest;
     trace::emit_chunk(std::move(chunk));
-    recorder.reset();
   };
   if (spec.record_schedule_trace) ctx.engine.record_trace(1u << 18);
   ctx.run_kernel = spec.nsim <= 64;
@@ -898,7 +880,7 @@ RunResult run(const Spec& spec) {
   result.transfers = ctx.fabric.transfers_started();
   result.bytes_moved = ctx.fabric.bytes_transferred();
   if (spec.record_schedule_trace) result.schedule_trace = ctx.engine.trace();
-  result.leaks = auditor.leaks();
+  result.leaks = run_world.auditor->leaks();
 
   if (injector) {
     const fault::Stats& fs = injector->stats();
@@ -947,13 +929,14 @@ RunResult run(const Spec& spec) {
     result.fault.fallback_activated = true;
     result.fault.time_to_recover = ctx.engine.now();
     trace::count("fault.fallback");
-    fault_scope.reset();  // the replay runs fault-free
-    repl_scope.reset();   // ... and unreplicated
     Spec fb = spec;
     fb.method = MethodSel::kMpiIo;
     fb.fault = fault::Plan{};
     fb.fallback.to_mpi_io = false;
     fb.repl = repl::Policy{};
+    ctx_world.fault = nullptr;  // the replay runs fault-free
+    ctx_world.repl = nullptr;   // ... and unreplicated
+    bind_ctx.emplace(ctx_world);
     RunResult replay = run(fb);
     result.recovered_failures = std::move(result.failures);
     result.failures = replay.failures;

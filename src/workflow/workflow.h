@@ -96,9 +96,9 @@ struct Spec {
   bool capture_timelines = false;
 
   // Fault plan for this world (off when fault.any() is false — then no
-  // Injector is bound and every fault hook is a no-op). Bound through a
-  // thread-local ScopedFaultPlan exactly like audit/trace, so concurrent
-  // sweep workers stay isolated.
+  // Injector is bound and every fault hook is a no-op). Bound as the run's
+  // World `fault` (common/world.h), so concurrent sweep workers stay
+  // isolated.
   fault::Plan fault;
   // Graceful degradation: when the primary method fails with a fault plan
   // active (unrecoverable server loss and the like), replay the whole
@@ -111,8 +111,8 @@ struct Spec {
   // entries (DIMES). factor 1 — the default — is byte-identical to the
   // pre-replication behavior; factor R >= 2 lands every staged object on a
   // chain of R servers, re-routes gets past crashed replicas, and resilvers
-  // lost redundancy in the background (DESIGN.md §15). Bound through a
-  // thread-local ScopedReplPolicy exactly like the fault plan.
+  // lost redundancy in the background (DESIGN.md §15). Bound as the run's
+  // World `repl`, like the fault plan.
   repl::Policy repl;
   // Socket-pool slot wait budget (virtual seconds); < 0 waits forever (the
   // historical behavior), >= 0 surfaces kTimeout when exceeded.

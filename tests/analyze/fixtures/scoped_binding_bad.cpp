@@ -1,27 +1,37 @@
 // must-flag: scoped-binding — temporaries, heap guards, and binding after
-// the accessor already ran.
-namespace audit {
-struct Auditor {};
-Auditor& global();
-}  // namespace audit
+// an accessor already read the previous world.
+namespace fault {
+struct Injector {};
+Injector* active();
+}  // namespace fault
 
-struct ScopedAuditor {
-  explicit ScopedAuditor(audit::Auditor& auditor);
-  ~ScopedAuditor();
-  ScopedAuditor(const ScopedAuditor&) = delete;
+struct World {
+  fault::Injector* fault = nullptr;
+};
+const World& world();
+
+struct BindWorld {
+  explicit BindWorld(const World& w);
+  ~BindWorld();
 };
 
-void temporary_guard(audit::Auditor& world) {
-  ScopedAuditor(world);            // FLAG: unbinds at end of expression
-  audit::global();                 // ...so this reads the old binding
+void temporary_guard(const World& w) {
+  BindWorld(w);                    // FLAG: unbinds at end of expression
+  fault::active();                 // ...so this reads the old binding
 }
 
-void heap_guard(audit::Auditor& world) {
-  auto* bind = new ScopedAuditor(world);  // FLAG: scope-decoupled guard
+void heap_guard(const World& w) {
+  auto* bind = new BindWorld(w);   // FLAG: scope-decoupled guard
   (void)bind;
 }
 
-void bound_too_late(audit::Auditor& world) {
-  audit::global();                 // reads the previous world's binding
-  ScopedAuditor bind(world);       // FLAG: constructed after first use
+void bound_too_late(const World& w) {
+  fault::active();                 // reads the previous world's injector
+  BindWorld bind(w);               // FLAG: constructed after first use
+}
+
+void world_read_too_early(const World& w) {
+  if (world().fault != nullptr) {  // not a copy: a read of the old world
+  }
+  BindWorld bind(w);               // FLAG: constructed after first use
 }

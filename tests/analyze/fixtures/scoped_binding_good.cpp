@@ -1,21 +1,29 @@
-// must-pass: scoped-binding — a named stack guard constructed before any
-// accessor use, plus accessor-only code (fallback binding is legal).
-namespace audit {
-struct Auditor {};
-Auditor& global();
-}  // namespace audit
+// must-pass: scoped-binding — a named stack guard built from a copy of the
+// current World and constructed before any accessor use, plus
+// accessor-only code (the unbound defaults are legal).
+namespace fault {
+struct Injector {};
+Injector* active();
+}  // namespace fault
 
-struct ScopedAuditor {
-  explicit ScopedAuditor(audit::Auditor& auditor);
-  ~ScopedAuditor();
-  ScopedAuditor(const ScopedAuditor&) = delete;
+struct World {
+  fault::Injector* fault = nullptr;
+};
+const World& world();
+
+struct BindWorld {
+  explicit BindWorld(const World& w);
+  ~BindWorld();
+  BindWorld(const BindWorld&) = delete;
 };
 
-void run_world(audit::Auditor& world) {
-  ScopedAuditor bind(world);   // named, first thing in the scope
-  audit::global();             // reads the fresh binding
+void run_world(fault::Injector& injector) {
+  World w = world();           // the copy the guard is built from
+  w.fault = &injector;
+  BindWorld bind(w);           // named, before any accessor use
+  fault::active();             // reads the fresh binding
 }
 
-void fallback_only() {
-  audit::global();             // no guard in scope: process-wide fallback
+void unbound_only() {
+  fault::active();             // no guard in scope: no faults
 }

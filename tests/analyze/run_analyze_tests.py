@@ -29,13 +29,12 @@ FIXTURES = os.path.join(TESTS_DIR, "fixtures")
 ANALYZE = [sys.executable, os.path.join(REPO, "scripts", "imc-analyze")]
 
 # rule id -> list of (fixture stem, minimum findings expected in the bad
-# snippet); rules with several guard families carry one pair per family.
+# snippet).
 CORPUS = {
     "unordered-iteration": [("unordered_iteration", 2)],
     "wall-clock": [("wall_clock", 4)],
     "global-rng": [("global_rng", 4)],
-    "scoped-binding": [("scoped_binding", 3), ("arena_binding", 3),
-                       ("prof_binding", 3), ("repl_binding", 3)],
+    "scoped-binding": [("scoped_binding", 4)],
     "adhoc-retry": [("adhoc_retry", 1)],
     "env-without-or-die": [("env_without_or_die", 2)],
     "raw-exit-in-library": [("raw_exit_in_library", 2)],

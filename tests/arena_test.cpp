@@ -90,25 +90,6 @@ TEST(Arena, ResetWithLiveBlocksKeepsStorageValid) {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-local binding.
-
-TEST(Arena, ScopedBindingNestsLifo) {
-  EXPECT_EQ(arena::current(), nullptr);
-  arena::Arena outer_arena;
-  {
-    arena::ScopedArena outer(outer_arena);
-    EXPECT_EQ(arena::current(), &outer_arena);
-    arena::Arena inner_arena;
-    {
-      arena::ScopedArena inner(inner_arena);
-      EXPECT_EQ(arena::current(), &inner_arena);
-    }
-    EXPECT_EQ(arena::current(), &outer_arena);
-  }
-  EXPECT_EQ(arena::current(), nullptr);
-}
-
-// ---------------------------------------------------------------------------
 // Coroutine-frame routing: frees are self-describing, so a frame outliving
 // its binding still returns to the pool that produced it.
 
@@ -116,7 +97,7 @@ TEST(Arena, FrameFreedAfterBindingMovedOnReturnsToOwner) {
   arena::Arena arena;
   void* frame = nullptr;
   {
-    arena::ScopedArena scope(arena);
+    BindWorld scope({.arena = &arena});
     frame = arena::frame_allocate(200);
     ASSERT_NE(frame, nullptr);
     EXPECT_EQ(arena.outstanding(), 1u);
@@ -161,7 +142,7 @@ TEST(Arena, ReusedArenaWorldsMatchFreshWorldsUnderEverySchedule) {
     std::uint64_t fresh = 0;
     {
       arena::Arena arena;
-      arena::ScopedArena scope(arena);
+      BindWorld scope({.arena = &arena});
       fresh = run_world(schedule);
       EXPECT_EQ(arena.outstanding(), 0u);
     }
@@ -170,7 +151,7 @@ TEST(Arena, ReusedArenaWorldsMatchFreshWorldsUnderEverySchedule) {
     std::size_t warm_reserved = 0;
     for (int round = 0; round < 3; ++round) {
       reused.reset();
-      arena::ScopedArena scope(reused);
+      BindWorld scope({.arena = &reused});
       EXPECT_EQ(run_world(schedule), fresh)
           << "tie_break=" << static_cast<int>(schedule.tie_break)
           << " round=" << round;

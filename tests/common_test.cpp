@@ -137,7 +137,7 @@ TEST(Auditor, OwnerSlotIsNotUsedByANewAuditorAtTheSameAddress) {
   ledger.emplace();
   const audit::Auditor* first = &*ledger;
   {
-    audit::ScopedAuditor bind(*ledger);
+    BindWorld bind({.auditor = &*ledger});
     audit::global().acquire(r, owner, 4);
     EXPECT_EQ(ledger->outstanding(r), 4u);
   }
@@ -145,7 +145,7 @@ TEST(Auditor, OwnerSlotIsNotUsedByANewAuditorAtTheSameAddress) {
   ledger.emplace();
   ASSERT_EQ(&*ledger, first);
   {
-    audit::ScopedAuditor bind(*ledger);
+    BindWorld bind({.auditor = &*ledger});
     audit::global().acquire(r, owner, 3);
     audit::global().release(r, owner, 1);
   }

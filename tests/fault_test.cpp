@@ -1,6 +1,6 @@
-// imc::fault: plan binding/unwind, seeded-jitter determinism, backoff
-// bounds, timeout surfacing, crash recovery, MPI-IO fallback equivalence,
-// and schedule/thread-count invariance of chaos runs.
+// imc::fault: seeded-jitter determinism, backoff bounds, timeout
+// surfacing, crash recovery, MPI-IO fallback equivalence, and
+// schedule/thread-count invariance of chaos runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,24 +17,6 @@
 
 namespace imc::fault {
 namespace {
-
-TEST(FaultBinding, ScopedPlanBindsAndUnwindsLifo) {
-  EXPECT_EQ(active(), nullptr);
-  Plan plan;
-  plan.packet_loss = 0.5;
-  Injector outer(plan);
-  {
-    ScopedFaultPlan bind_outer(outer);
-    EXPECT_EQ(active(), &outer);
-    Injector inner(plan);
-    {
-      ScopedFaultPlan bind_inner(inner);
-      EXPECT_EQ(active(), &inner);
-    }
-    EXPECT_EQ(active(), &outer);
-  }
-  EXPECT_EQ(active(), nullptr);
-}
 
 TEST(FaultPlan, AnyDetectsEachKnob) {
   EXPECT_FALSE(Plan{}.any());
@@ -304,7 +286,7 @@ TEST(FaultRideOut, CertainFaultExhaustsAndZeroProbabilityIsFree) {
   plan.transport_retry.max_attempts = 3;
   plan.transport_retry.jitter = 0;
   Injector injector(plan);
-  ScopedFaultPlan bind(injector);
+  BindWorld bind({.fault = &injector});
   Status certain;
   Status never;
   engine.spawn([](sim::Engine& eng, Status* c, Status* n) -> sim::Task<> {

@@ -1,5 +1,4 @@
-// imc::prof: scoped lane binding (LIFO, mirroring audit/trace/fault),
-// meter aggregation, collector fold/export — and the contract that makes
+// imc::prof: lane binding through the current World, meter aggregation, collector fold/export — and the contract that makes
 // the whole layer admissible: profiling is strictly digest-excluded, so
 // run digests, trace digests, exports, and chaos invariants are
 // byte-identical with the collector installed or absent at every thread
@@ -50,24 +49,8 @@ TEST(ProfHost, WallSecondsIsMonotonic) {
 #if IMC_PROF_ENABLED
 
 // ---------------------------------------------------------------------------
-// ScopedProf: LIFO nesting and unwind, mirroring audit::ScopedAuditor,
-// trace::ScopedRecorder, and fault::ScopedFaultPlan.
-
-TEST(ProfBinding, ScopedProfNestsAndUnwinds) {
-  EXPECT_EQ(prof::meter(), nullptr);
-  prof::Meter outer("outer");
-  {
-    prof::ScopedProf bind_outer(outer);
-    EXPECT_EQ(prof::meter(), &outer);
-    {
-      prof::Meter inner("inner");
-      prof::ScopedProf bind_inner(inner);
-      EXPECT_EQ(prof::meter(), &inner);
-    }
-    EXPECT_EQ(prof::meter(), &outer);
-  }
-  EXPECT_EQ(prof::meter(), nullptr);
-}
+// Lane binding: unbound hooks are inert, bound ones attribute to the
+// innermost lane.
 
 TEST(ProfBinding, UnboundHooksAreInert) {
   ASSERT_EQ(prof::meter(), nullptr);
@@ -81,9 +64,9 @@ TEST(ProfBinding, UnboundHooksAreInert) {
 TEST(ProfBinding, HooksAttributeToTheInnermostLane) {
   prof::Meter outer("outer");
   prof::Meter inner("inner");
-  prof::ScopedProf bind_outer(outer);
+  BindWorld bind_outer({.meter = &outer});
   {
-    prof::ScopedProf bind_inner(inner);
+    BindWorld bind_inner({.meter = &inner});
     prof::count("test.mark");
   }
   prof::count("test.mark", 2.0);
@@ -123,7 +106,7 @@ TEST(ProfMeter, TimingCountSampleFoldByKind) {
 
 TEST(ProfMeter, TimerRecordsOncePerPhaseAndStopsEarly) {
   prof::Meter m("lane");
-  prof::ScopedProf bind(m);
+  BindWorld bind({.meter = &m});
   {
     prof::Timer t = prof::timer("phase.scoped");
     EXPECT_TRUE(t.active());
@@ -140,7 +123,7 @@ TEST(ProfMeter, TimerRecordsOncePerPhaseAndStopsEarly) {
 
 TEST(ProfMeter, TimerMoveTransfersTheObligation) {
   prof::Meter m("lane");
-  prof::ScopedProf bind(m);
+  BindWorld bind({.meter = &m});
   {
     prof::Timer a = prof::timer("phase.moved");
     prof::Timer b = std::move(a);

@@ -1,5 +1,5 @@
-// imc::repl: policy binding/unwind, deterministic chain placement, quorum
-// selection, DataSpaces/DIMES failover and resilvering, workflow durability
+// imc::repl: deterministic chain placement, quorum selection,
+// DataSpaces/DIMES failover and resilvering, workflow durability
 // accounting, and schedule invariance of replicated chaos runs.
 #include <gtest/gtest.h>
 
@@ -24,24 +24,6 @@ namespace {
 using nda::Box;
 using nda::Slab;
 using nda::VarDesc;
-
-TEST(ReplBinding, ScopedPolicyBindsAndUnwindsLifo) {
-  EXPECT_EQ(active(), nullptr);
-  Policy policy;
-  policy.factor = 2;
-  Coordinator outer(policy);
-  {
-    ScopedReplPolicy bind_outer(outer);
-    EXPECT_EQ(active(), &outer);
-    Coordinator inner(policy);
-    {
-      ScopedReplPolicy bind_inner(inner);
-      EXPECT_EQ(active(), &inner);
-    }
-    EXPECT_EQ(active(), &outer);
-  }
-  EXPECT_EQ(active(), nullptr);
-}
 
 TEST(ReplPolicy, ChainPlacementIsPureArithmetic) {
   // Position k of region r's chain is (r % ns + k) % ns — no clock, no RNG.
@@ -132,11 +114,10 @@ TEST_F(ReplDsFixture, CrashedPrimaryIsTransparentAndResilverRestoresCopies) {
   Policy policy;
   policy.factor = 2;
   Coordinator coordinator(policy);
-  ScopedReplPolicy repl_bind(coordinator);
   fault::Plan plan;
   plan.server_crash = {0.5, 0};
   fault::Injector injector(plan);
-  fault::ScopedFaultPlan fault_bind(injector);
+  BindWorld bind({.fault = &injector, .repl = &coordinator});
 
   auto ds = deploy(4);
   auto writer = make_rank(*ds, 1);
@@ -181,12 +162,11 @@ TEST_F(ReplDsFixture, LosingEveryReplicaSurfacesTypedLossAndCountsIt) {
   Policy policy;
   policy.factor = 2;
   Coordinator coordinator(policy);
-  ScopedReplPolicy repl_bind(coordinator);
   fault::Plan plan;
   plan.server_crashes.push_back({0.5, 0});
   plan.server_crashes.push_back({0.6, 1});
   fault::Injector injector(plan);
-  fault::ScopedFaultPlan fault_bind(injector);
+  BindWorld bind({.fault = &injector, .repl = &coordinator});
 
   auto ds = deploy(2);
   auto writer = make_rank(*ds, 1);
@@ -223,11 +203,10 @@ TEST_F(ReplDsFixture, MasterCrashFailsParkedWaitersTypedWithCleanLedger) {
   // (not hang), the publisher must see the refusal, and teardown must leave
   // a clean leak ledger.
   audit::Auditor auditor;
-  audit::ScopedAuditor audit_bind(auditor);
   fault::Plan plan;
   plan.server_crash = {0.5, 0};
   fault::Injector injector(plan);
-  fault::ScopedFaultPlan fault_bind(injector);
+  BindWorld bind({.auditor = &auditor, .fault = &injector});
 
   auto ds = deploy(2);
   auto writer = make_rank(*ds, 1);

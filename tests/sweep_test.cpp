@@ -101,7 +101,7 @@ TEST(SweepPool, EveryJobRunsExactlyOnce) {
 
 TEST(SweepPool, JobsGetIsolatedAuditorBindings) {
   audit::Auditor outer;
-  audit::ScopedAuditor outer_scope(outer);
+  BindWorld outer_scope({.auditor = &outer});
   const audit::Auditor* outer_addr = &audit::global();
 
   for (int threads : {1, 2, 8}) {
@@ -133,11 +133,12 @@ TEST(SweepPool, JobsGetIsolatedAuditorBindings) {
 TEST(SweepPool, LogOutputIsCapturedPerJob) {
   // A job's IMC_LOG lines go to its buffered sink, not whatever sink the
   // submitting thread has bound.
-  ScopedLogBuffer outer;
+  LogText outer;
+  BindWorld capture({.log = &outer});
   sweep::Pool(2).run_indexed(4, [](std::size_t i) {
     log_message(LogLevel::kWarn, "job " + std::to_string(i) + " speaking");
   });
-  EXPECT_EQ(outer.take().str(), "");
+  EXPECT_EQ(outer.str(), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -348,7 +349,7 @@ TEST(SweepDeterminism, CheckHarnessReportIsThreadCountInvariant) {
 
 TEST(SweepFailure, MidSweepExceptionReachesCaller) {
   audit::Auditor outer;
-  audit::ScopedAuditor outer_scope(outer);
+  BindWorld outer_scope({.auditor = &outer});
   const audit::Auditor* outer_addr = &audit::global();
 
   for (int threads : {1, 2, 8}) {

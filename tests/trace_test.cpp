@@ -48,24 +48,7 @@ TEST(TraceDigest, Fnv1aChainsAndDiscriminates) {
 #if IMC_TRACE_ENABLED
 
 // ---------------------------------------------------------------------------
-// ScopedRecorder: LIFO nesting and unwind, mirroring audit::ScopedAuditor.
-
-TEST(TraceBinding, ScopedRecorderNestsAndUnwinds) {
-  sim::Engine engine;
-  EXPECT_EQ(trace::global(), nullptr);
-  trace::Recorder outer(engine, "outer", 16);
-  {
-    trace::ScopedRecorder bind_outer(outer);
-    EXPECT_EQ(trace::global(), &outer);
-    {
-      trace::Recorder inner(engine, "inner", 16);
-      trace::ScopedRecorder bind_inner(inner);
-      EXPECT_EQ(trace::global(), &inner);
-    }
-    EXPECT_EQ(trace::global(), &outer);
-  }
-  EXPECT_EQ(trace::global(), nullptr);
-}
+// Recorder binding: with no recorder in the current World, hooks are inert.
 
 TEST(TraceBinding, UnboundHooksAreInert) {
   ASSERT_EQ(trace::global(), nullptr);
@@ -84,7 +67,7 @@ TEST(TraceBinding, UnboundHooksAreInert) {
 TEST(TraceRecorder, SpanCoversSimulatedSleep) {
   sim::Engine engine;
   trace::Recorder recorder(engine, "spans", 64);
-  trace::ScopedRecorder bind(recorder);
+  BindWorld bind({.recorder = &recorder});
   engine.spawn([](sim::Engine& e) -> sim::Task<> {
     trace::Span span = trace::span("test.work", trace::Track{5, 7});
     span.arg("bytes", 4096.0);
@@ -136,8 +119,8 @@ TEST(TraceRecorder, EventCapDropsDeterministicallyButKeepsMetrics) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk routing: innermost buffer wins; un-taken chunks are forwarded, not
-// dropped (the ScopedLogBuffer contract).
+// Chunk routing: the current World's capture takes each chunk; with none
+// bound, chunks go to the sink.
 
 trace::RunChunk labeled_chunk(const std::string& label) {
   sim::Engine engine;
@@ -146,20 +129,19 @@ trace::RunChunk labeled_chunk(const std::string& label) {
   return recorder.take_chunk();
 }
 
-TEST(TraceRouting, InnermostBufferCapturesAndDtorForwards) {
-  trace::ScopedTraceBuffer outer;
+TEST(TraceRouting, InnermostCaptureTakesEachChunk) {
+  std::vector<trace::RunChunk> outer;
+  std::vector<trace::RunChunk> inner;
+  BindWorld bind_outer({.chunks = &outer});
   {
-    trace::ScopedTraceBuffer inner;
+    BindWorld bind_inner({.chunks = &inner});
     trace::emit_chunk(labeled_chunk("first"));
-    auto taken = inner.take();
-    ASSERT_EQ(taken.size(), 1u);
-    EXPECT_EQ(taken[0].label, "first");
-    trace::emit_chunk(labeled_chunk("second"));
-    // `second` is not taken: the destructor must forward it to `outer`.
   }
-  auto forwarded = outer.take();
-  ASSERT_EQ(forwarded.size(), 1u);
-  EXPECT_EQ(forwarded[0].label, "second");
+  trace::emit_chunk(labeled_chunk("second"));
+  ASSERT_EQ(inner.size(), 1u);
+  EXPECT_EQ(inner[0].label, "first");
+  ASSERT_EQ(outer.size(), 1u);
+  EXPECT_EQ(outer[0].label, "second");
 }
 
 TEST(TraceRouting, SinkReceivesChunksWhenNoBufferIsBound) {
@@ -206,7 +188,7 @@ std::pair<std::uint64_t, std::string> run_engine_scenario(
     sim::Schedule schedule) {
   sim::Engine engine(schedule);
   trace::Recorder recorder(engine, "schedule-invariance", 1024);
-  trace::ScopedRecorder bind(recorder);
+  BindWorld bind({.recorder = &recorder});
   for (int p = 0; p < 4; ++p) {
     engine.spawn([](sim::Engine& e, int p) -> sim::Task<> {
       for (int i = 0; i < 5; ++i) {
