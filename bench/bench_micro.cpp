@@ -366,14 +366,13 @@ void BM_WorldSetupTeardownReused(benchmark::State& state) {
 }
 BENCHMARK(BM_WorldSetupTeardownReused);
 
-// Log capture + flush cost: format N lines into a World's log capture,
-// then splice the rope onto an outer one. The chunked LogText append and
-// splice are what keep this linear in bytes with no intermediate copies.
-void BM_LogCaptureFlush(benchmark::State& state) {
+// Log capture cost: format N lines into a World's log capture. The chunked
+// LogText append is what keeps this linear in bytes with no intermediate
+// copies.
+void BM_LogCapture(benchmark::State& state) {
   const int lines = static_cast<int>(state.range(0));
   std::size_t bytes = 0;
   for (auto _ : state) {
-    LogText outer;
     LogText captured;
     {
       BindWorld capture({.log = &captured});
@@ -381,15 +380,14 @@ void BM_LogCaptureFlush(benchmark::State& state) {
         log_message(LogLevel::kWarn, "staged object advanced a step");
       }
     }
-    outer.splice(std::move(captured));  // chunk moves, no byte copies
-    bytes = outer.size();
+    bytes = captured.size();
     benchmark::DoNotOptimize(bytes);
   }
   state.SetItemsProcessed(state.iterations() * lines);
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_LogCaptureFlush)->Arg(1024);
+BENCHMARK(BM_LogCapture)->Arg(1024);
 
 void BM_SlabExtract(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));

@@ -150,13 +150,22 @@ echo "smoke sweep_speedup at IMC_THREADS=2: $speedup"
 python3 "$repo/scripts/imc-report.py" gate --speedup "$speedup" --threads 2 \
   --history "$repo/BENCH_history.json"
 
+# Run digests must not depend on IMC_CHECK. The smoke build is Release with
+# the auditors compiled out (scripts/bench.py configures IMC_CHECK=OFF), so
+# the golden run table and the workflow tests run here a second time
+# without them. The table compares every field but the leak lines, which
+# an unaudited build leaves empty.
+echo "==> run digests without IMC_CHECK (golden table + workflow tests)"
+smoke="$repo/build-bench-smoke"
+cmake --build "$smoke" -j "$(nproc)" --target test_workflow_golden test_workflow
+(cd "$smoke/tests" && ./test_workflow_golden && ./test_workflow)
+
 # Trace smoke: a Fig. 2 run with IMC_TRACE must produce a Perfetto-loadable
 # export carrying spans from the fabric, memory, DataSpaces, and workflow
 # layers, and the metric digest chain must not depend on the sweep width.
 # The event cap bounds the artifact size; it is part of the digest input, so
 # both runs use the same cap.
 echo "==> trace smoke (IMC_TRACE export + thread-count digest diff)"
-smoke="$repo/build-bench-smoke"
 cmake --build "$smoke" -j "$(nproc)" --target bench_fig2_end_to_end
 IMC_THREADS=1 IMC_TRACE_EVENTS=4096 IMC_TRACE="$smoke/fig2.trace.t1.json" \
   "$smoke/bench/bench_fig2_end_to_end" >/dev/null

@@ -43,20 +43,6 @@ void LogText::grow_and_append(std::string_view text) {
   chunks_.push_back(std::move(chunk));
 }
 
-void LogText::splice(LogText&& other) {
-  if (other.bytes_ == 0) return;
-  bytes_ += other.bytes_;
-  if (chunks_.empty()) {
-    chunks_ = std::move(other.chunks_);
-  } else {
-    for (std::string& chunk : other.chunks_) {
-      chunks_.push_back(std::move(chunk));
-    }
-  }
-  other.chunks_.clear();
-  other.bytes_ = 0;
-}
-
 std::string LogText::str() const {
   std::string joined;
   joined.reserve(bytes_);

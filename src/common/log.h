@@ -25,11 +25,10 @@ void set_log_level(LogLevel level);
 void log_message(LogLevel level, std::string_view msg);
 
 // Captured log bytes as a chunked rope. Appends land in a reserved tail
-// chunk and handing the capture onward (a move, splice()) moves whole
-// chunks, so a sweep job's log bytes are formatted once and
-// never copied again on their way to the submission-order flush. The
-// chunks are an implementation detail: observable output is the
-// concatenation in append order.
+// chunk and handing the capture onward (a move) moves whole chunks, so a
+// sweep job's log bytes are formatted once and never copied again on their
+// way to the submission-order flush. The chunks are an implementation
+// detail: observable output is the concatenation in append order.
 class LogText {
  public:
   LogText() = default;
@@ -53,9 +52,6 @@ class LogText {
     }
     grow_and_append(text);
   }
-
-  // Moves every chunk of `other` to the end of this rope (other ends empty).
-  void splice(LogText&& other);
 
   void clear() {
     chunks_.clear();

@@ -10,85 +10,36 @@
 #include "trace/trace.h"
 
 namespace imc::dataspaces {
+namespace {
+
+// The copy of object (var, region, box) that `server` stages, if any.
+const StagedObject* find_copy(const Server& server, const nda::VarDesc& var,
+                              int region, const nda::Box& box) {
+  auto sit = server.staged.find(var.name);
+  if (sit == server.staged.end()) return nullptr;
+  auto vit = sit->second.find(var.version);
+  if (vit == sit->second.end()) return nullptr;
+  for (const StagedObject& object : vit->second.objects) {
+    if (object.region == region && object.box == box) return &object;
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 DataSpaces::DataSpaces(sim::Engine& engine, hpc::Cluster& cluster,
                        net::Transport& transport, Config config)
-    : engine_(&engine),
-      cluster_(&cluster),
-      transport_(&transport),
+    : ServerGroup(engine, cluster, transport,
+                  {.noun = "staging",
+                   .pid_base = 900000,
+                   .memory_prefix = "ds-server-",
+                   .num_servers = config.num_servers,
+                   .servers_per_node = config.servers_per_node,
+                   .base_bytes = config.server_base_bytes}),
       config_(std::move(config)),
       locks_(engine, config_.lock_type) {}
 
-DataSpaces::~DataSpaces() = default;
-
-Status DataSpaces::deploy(const std::vector<int>& staging_node_ids) {
-  if (staging_node_ids.empty() || config_.num_servers <= 0) {
-    return make_error(ErrorCode::kInvalidArgument,
-                      "deploy requires staging nodes and num_servers > 0");
-  }
-  for (int s = 0; s < config_.num_servers; ++s) {
-    auto server = std::make_unique<Server>();
-    server->id = s;
-    const int node_id =
-        staging_node_ids[static_cast<std::size_t>(s / config_.servers_per_node) %
-                         staging_node_ids.size()];
-    hpc::Node& node = cluster_->node(node_id);
-    server->endpoint = net::Endpoint{next_pid_++, /*job=*/2, &node};
-    server->memory = std::make_unique<mem::ProcessMemory>(
-        *engine_, "ds-server-" + std::to_string(s), &node.memory());
-    server->queue = std::make_unique<sim::Queue<Request>>(*engine_);
-    // DART base pool (communication buffers, descriptor tables).
-    if (Status st = server->memory->allocate(mem::Tag::kLibrary,
-                                             config_.server_base_bytes);
-        !st.is_ok()) {
-      return st;
-    }
-    servers_.push_back(std::move(server));
-  }
-  for (auto& server : servers_) {
-    engine_->spawn(server_loop(*server));
-  }
-  // Replication knobs are pinned per deployment: every put/get of this
-  // world walks chains of the same effective factor.
-  if (repl::Coordinator* coordinator = repl::active()) {
-    factor_ = coordinator->factor_for(num_servers());
-    quorum_ = coordinator->quorum_for(factor_);
-    mode_ = coordinator->policy().mode;
-  }
-  board_span_ = factor_ > 1 ? std::min(factor_, num_servers()) : 1;
-  // Scheduled staging-server crashes from the bound fault plan (if any).
-  if (fault::Injector* injector = fault::active()) {
-    for (const fault::Plan::ServerCrash& crash :
-         injector->plan().crash_schedule()) {
-      if (crash.server >= 0 && crash.server < static_cast<int>(servers_.size())) {
-        engine_->spawn(crash_watcher(crash.server, crash.at));
-      }
-    }
-  }
-  return Status::ok();
-}
-
-int DataSpaces::live_board_members() const {
-  int live = 0;
-  for (int s = 0; s < board_span_; ++s) {
-    if (!servers_[static_cast<std::size_t>(s)]->crashed) ++live;
-  }
-  return live;
-}
-
-void DataSpaces::shutdown() {
-  for (auto& server : servers_) server->queue->push(Shutdown{});
-}
-
-net::Endpoint DataSpaces::server_endpoint(int s) const {
-  return servers_.at(static_cast<std::size_t>(s))->endpoint;
-}
-
-mem::ProcessMemory& DataSpaces::server_memory(int s) {
-  return *servers_.at(static_cast<std::size_t>(s))->memory;
-}
-
-const DataSpaces::ServerStats& DataSpaces::server_stats(int s) const {
+const ServerStats& DataSpaces::server_stats(int s) const {
   return servers_.at(static_cast<std::size_t>(s))->stats;
 }
 
@@ -120,13 +71,12 @@ const RegionSet& DataSpaces::regions_of(const nda::VarDesc& var) {
 sim::Task<> DataSpaces::server_loop(Server& server) {
   for (;;) {
     Request request = co_await server.queue->pop();
-    if (std::holds_alternative<Shutdown>(request)) {
+    if (std::holds_alternative<staging::Shutdown>(request)) {
       teardown_server(server);
+      close(server);
       break;
     }
     if (server.crashed) {
-      // A dead server answers nothing useful: every request gets a typed
-      // refusal so clients fail (or fall back) instead of parking forever.
       refuse(server, request);
       continue;
     }
@@ -152,17 +102,11 @@ sim::Task<> DataSpaces::server_loop(Server& server) {
       // Bulk movement overlaps with serving other requests (one-sided RDMA
       // from pinned staging memory).
       engine_->spawn(run_get(server, std::move(*get)));
-    } else if (auto* publish = std::get_if<Publish>(&request)) {
-      handle_publish(server, *publish);
-      if (publish->reply != nullptr) publish->reply->push(Status::ok());
-    } else if (auto* wait = std::get_if<WaitVersion>(&request)) {
-      // Version board lives on server 0.
-      auto it = board_.published.find(wait->var);
-      if (it != board_.published.end() && it->second >= wait->version) {
-        wait->reply->push(Status::ok());
-      } else {
-        board_.waiters.push_back(*wait);
-      }
+    } else if (auto* publish = std::get_if<staging::Publish>(&request)) {
+      evict_versions(server, publish->var, publish->version);
+      board_publish(server, *publish);
+    } else if (auto* wait = std::get_if<staging::WaitVersion>(&request)) {
+      board_wait(*wait);
     }
   }
 }
@@ -255,11 +199,7 @@ void DataSpaces::handle_put_prep(Server& server, PutPrep& req) {
 
 sim::Task<Status> DataSpaces::stage_attempt(Server& server,
                                             const PutPrep& req, int attempt) {
-  if (server.crashed) {
-    co_return make_error(ErrorCode::kConnectionFailed,
-                         "staging server " + std::to_string(server.id) +
-                             " crashed");
-  }
+  if (server.crashed) co_return crash_error(server.id);
   if (attempt >= 1) {
     // Waiting alone cannot help while the previous version stays pinned
     // (its publish waits on this very put). max_versions=1 permits
@@ -372,82 +312,6 @@ void DataSpaces::teardown_server(Server& server) {
     server.stats.index_bytes -= table;
   }
   server.index_charged.clear();
-  server.memory->free(mem::Tag::kLibrary, config_.server_base_bytes);
-  transport_->disconnect_all(server.endpoint);
-}
-
-void DataSpaces::refuse(const Server& server, Request& request) {
-  const Status refused = make_error(
-      ErrorCode::kConnectionFailed,
-      "staging server " + std::to_string(server.id) + " crashed");
-  if (auto* prep = std::get_if<PutPrep>(&request)) {
-    prep->reply->push(refused);
-  } else if (auto* get = std::get_if<GetReq>(&request)) {
-    get->reply->push(refused);
-  } else if (auto* publish = std::get_if<Publish>(&request)) {
-    if (publish->reply != nullptr) publish->reply->push(refused);
-  } else if (auto* wait = std::get_if<WaitVersion>(&request)) {
-    wait->reply->push(refused);
-  }
-  // PutCommit carries no reply queue; the payload is simply lost.
-}
-
-sim::Task<> DataSpaces::crash_watcher(int index, double at) {
-  co_await engine_->sleep(std::max(0.0, at - engine_->now()));
-  Server& server = *servers_[static_cast<std::size_t>(index)];
-  if (server.crashed) co_return;
-  server.crashed = true;
-  if (fault::Injector* injector = fault::active()) {
-    injector->note_server_crash();
-  }
-  {
-    trace::Span span = trace::span(
-        "fault.server_crash",
-        trace::Track{server.endpoint.node->id(), server.endpoint.pid});
-    span.arg("server", index);
-  }
-  // A dead board takes parked readers with it: fail them with a typed error
-  // now instead of hanging to the end of the run. With replication on, the
-  // board survives on servers 0..board_span_-1, so waiters only fail when
-  // the last board replica dies.
-  if (board_member(server.id) && live_board_members() == 0) {
-    for (auto& waiter : board_.waiters) {
-      waiter.reply->push(make_error(ErrorCode::kConnectionFailed,
-                                    "staging server " + std::to_string(index) +
-                                        " crashed (no board replica left)"));
-    }
-    board_.waiters.clear();
-  }
-  // Rebuild lost redundancy in the background, racing any follow-on
-  // crashes: every object the dead server held a copy of is re-copied from
-  // a surviving replica onto the next live chain candidate.
-  if (factor_ > 1) {
-    repl::Coordinator* coordinator = repl::active();
-    if (coordinator != nullptr && coordinator->policy().resilver) {
-      engine_->spawn(resilver(index, at));
-    }
-  }
-}
-
-void DataSpaces::handle_publish(Server& server, const Publish& req) {
-  evict_versions(server, req.var, req.version);
-  // Version board + waiter wakeup (board members only; publishes are
-  // broadcast). The board struct is shared, so the first member to apply a
-  // publish wakes the waiters and later members find the list drained —
-  // the wake time is the minimum over members, schedule-invariant.
-  if (board_member(server.id)) {
-    int& published = board_.published[req.var];
-    published = std::max(published, req.version);
-    auto it = board_.waiters.begin();
-    while (it != board_.waiters.end()) {
-      if (it->var == req.var && published >= it->version) {
-        it->reply->push(Status::ok());
-        it = board_.waiters.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
 }
 
 sim::Task<> DataSpaces::run_get(Server& server, GetReq req) {
@@ -509,10 +373,7 @@ sim::Task<Status> DataSpaces::replicate_object(int src_id, int dst_id,
   Server& src = *servers_[static_cast<std::size_t>(src_id)];
   Server& dst = *servers_[static_cast<std::size_t>(dst_id)];
   if (src.crashed || dst.crashed) {
-    co_return make_error(ErrorCode::kConnectionFailed,
-                         "staging server " +
-                             std::to_string(src.crashed ? src_id : dst_id) +
-                             " crashed");
+    co_return crash_error(src.crashed ? src_id : dst_id);
   }
   trace::Span span = trace::span(
       "repl.copy", trace::Track{dst.endpoint.node->id(), dst.endpoint.pid});
@@ -537,22 +398,9 @@ sim::Task<Status> DataSpaces::replicate_object(int src_id, int dst_id,
   // Re-validate after the awaits: either end may have crashed and the source
   // object may have been evicted while the copy was in flight.
   if (src.crashed || dst.crashed) {
-    co_return make_error(ErrorCode::kConnectionFailed,
-                         "staging server " +
-                             std::to_string(src.crashed ? src_id : dst_id) +
-                             " crashed mid-copy");
+    co_return crash_error(src.crashed ? src_id : dst_id, " mid-copy");
   }
-  const StagedObject* found = nullptr;
-  if (auto sit = src.staged.find(var.name); sit != src.staged.end()) {
-    if (auto vit = sit->second.find(var.version); vit != sit->second.end()) {
-      for (const StagedObject& object : vit->second.objects) {
-        if (object.region == region && object.box == box) {
-          found = &object;
-          break;
-        }
-      }
-    }
-  }
+  const StagedObject* found = find_copy(src, var, region, box);
   if (found == nullptr) {
     co_return make_error(ErrorCode::kNotFound,
                          "source object of " + var.name + " v" +
@@ -561,15 +409,7 @@ sim::Task<Status> DataSpaces::replicate_object(int src_id, int dst_id,
   }
   // Dedupe: a racing resilver (or the original put) may have landed the
   // object on `dst` while this copy was in flight.
-  if (auto sit = dst.staged.find(var.name); sit != dst.staged.end()) {
-    if (auto vit = sit->second.find(var.version); vit != sit->second.end()) {
-      for (const StagedObject& object : vit->second.objects) {
-        if (object.region == region && object.box == box) {
-          co_return Status::ok();
-        }
-      }
-    }
-  }
+  if (find_copy(dst, var, region, box) != nullptr) co_return Status::ok();
   PutPrep prep{var, box, bytes, /*reply=*/nullptr, region};
   if (Status st = try_stage(dst, prep); !st.is_ok()) co_return st;
   // No co_await between try_stage and this commit, so the placeholder just
@@ -607,17 +447,7 @@ sim::Task<Status> DataSpaces::resilver_copy_once(nda::VarDesc var, int region,
     const int id = replica_of(region, k);
     Server& cand = *servers_[static_cast<std::size_t>(id)];
     if (cand.crashed) continue;
-    bool holds = false;
-    if (auto sit = cand.staged.find(var.name); sit != cand.staged.end()) {
-      if (auto vit = sit->second.find(var.version); vit != sit->second.end()) {
-        for (const StagedObject& object : vit->second.objects) {
-          if (object.region == region && object.box == box) {
-            holds = true;
-            break;
-          }
-        }
-      }
-    }
+    const bool holds = find_copy(cand, var, region, box) != nullptr;
     if (holds && src < 0) src = id;
     if (!holds && dst < 0) dst = id;
   }
@@ -691,18 +521,9 @@ sim::Task<> DataSpaces::resilver(int crashed, double crashed_at) {
         for (int k = 0; k < ns; ++k) {
           Server& cand =
               *servers_[static_cast<std::size_t>(replica_of(region, k))];
-          if (cand.crashed) continue;
-          if (auto sit = cand.staged.find(item.var.name);
-              sit != cand.staged.end()) {
-            if (auto vit = sit->second.find(item.var.version);
-                vit != sit->second.end()) {
-              for (const StagedObject& object : vit->second.objects) {
-                if (object.region == region && object.box == item.box) {
-                  ++holders;
-                  break;
-                }
-              }
-            }
+          if (!cand.crashed &&
+              find_copy(cand, item.var, region, item.box) != nullptr) {
+            ++holders;
           }
         }
         for (int deficit = goal - holders; deficit > 0; --deficit) {
@@ -747,13 +568,7 @@ sim::Task<Status> DataSpaces::Client::init() {
       !st.is_ok()) {
     co_return st;
   }
-  for (int s = 0; s < ds_->num_servers(); ++s) {
-    if (Status st =
-            co_await ds_->transport_->connect(self_, ds_->server_endpoint(s));
-        !st.is_ok()) {
-      co_return st;
-    }
-  }
+  if (Status st = co_await ds_->connect(self_); !st.is_ok()) co_return st;
   initialized_ = true;
   co_return Status::ok();
 }
@@ -941,86 +756,6 @@ sim::Task<Result<nda::Slab>> DataSpaces::Client::get(const nda::VarDesc& var,
   }
   co_return nda::assemble(box, pieces, ds_->config_.materialize_cap_elems);
 }
-
-sim::Task<Status> DataSpaces::Client::publish(const nda::VarDesc& var) {
-  if (ds_->factor_ > 1) {
-    // Replicated publish: per-server ack queues so refusals are attributable.
-    // A crashed server's refusal is tolerated — its staged copies live on
-    // replicas — as long as one live board member applied the version bump.
-    std::vector<std::unique_ptr<sim::Queue<Status>>> acks;
-    acks.reserve(ds_->servers_.size());
-    for (auto& server : ds_->servers_) {
-      acks.push_back(std::make_unique<sim::Queue<Status>>(*ds_->engine_));
-      co_await ds_->transport_->transfer(
-          self_, server->endpoint, kCtrlBytes,
-          {.src_pinned = true, .dst_pinned = true});
-      server->queue->push(Publish{var.name, var.version, acks.back().get()});
-    }
-    bool board_applied = false;
-    Status hard = Status::ok();
-    Status refused = Status::ok();
-    for (std::size_t s = 0; s < acks.size(); ++s) {
-      Status ack = co_await acks[s]->pop();
-      if (ack.is_ok()) {
-        if (ds_->board_member(static_cast<int>(s))) board_applied = true;
-      } else if (ack.code() == ErrorCode::kConnectionFailed) {
-        refused = std::move(ack);
-      } else {
-        hard = std::move(ack);
-      }
-    }
-    if (!hard.is_ok()) co_return hard;
-    if (!board_applied) {
-      co_return refused.is_ok()
-                    ? make_error(ErrorCode::kConnectionFailed,
-                                 "no live board replica acknowledged publish "
-                                 "of " + var.name)
-                    : refused;
-    }
-    co_return Status::ok();
-  }
-  sim::Queue<Status> acks(*ds_->engine_);
-  for (auto& server : ds_->servers_) {
-    co_await ds_->transport_->transfer(self_, server->endpoint, kCtrlBytes,
-                                       {.src_pinned = true, .dst_pinned = true});
-    server->queue->push(Publish{var.name, var.version, &acks});
-  }
-  // dspaces_unlock_on_write is synchronous: wait until every server applied
-  // the publish (and its eviction). A crashed server acks with an error,
-  // which the publisher must surface — its step's data is not readable.
-  Status worst = Status::ok();
-  for (std::size_t i = 0; i < ds_->servers_.size(); ++i) {
-    Status ack = co_await acks.pop();
-    if (!ack.is_ok()) worst = std::move(ack);
-  }
-  co_return worst;
-}
-
-sim::Task<Status> DataSpaces::Client::wait_version(const std::string& var,
-                                                   int version) {
-  // Probe the board replicas in chain order; a refused member (crashed) is
-  // skipped while a live one remains. Unreplicated runs keep the historical
-  // master-only behavior.
-  Status last = Status::ok();
-  for (int s = 0; s < ds_->board_span_; ++s) {
-    Server& member = *ds_->servers_[static_cast<std::size_t>(s)];
-    sim::Reply<Status> reply(*ds_->engine_);
-    co_await ds_->transport_->transfer(
-        self_, member.endpoint, kCtrlBytes,
-        {.src_pinned = true, .dst_pinned = true});
-    member.queue->push(WaitVersion{var, version, &reply});
-    last = co_await reply.pop();
-    if (ds_->factor_ <= 1 || last.code() != ErrorCode::kConnectionFailed) {
-      co_return last;
-    }
-  }
-  co_return last;
-}
-
-namespace {
-// The lock service lives on the master server; each lock/unlock is one
-// small control message away.
-}  // namespace
 
 sim::Task<Status> DataSpaces::Client::lock_on_write(const std::string& name) {
   Server& master = *ds_->servers_.front();

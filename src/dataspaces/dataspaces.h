@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -30,16 +29,9 @@
 
 #include "common/status.h"
 #include "common/units.h"
-#include "hpc/cluster.h"
-#include "mem/memory.h"
-#include "ndarray/ndarray.h"
-#include "net/transport.h"
 #include "dataspaces/locks.h"
 #include "dataspaces/regions.h"
-#include "repl/repl.h"
-#include "sim/engine.h"
-#include "sim/sync.h"
-#include "sim/task.h"
+#include "staging/server_group.h"
 
 namespace imc::dataspaces {
 
@@ -69,35 +61,81 @@ struct Config {
   std::uint64_t materialize_cap_elems = 1ull << 22;
 };
 
-class DataSpaces {
- public:
-  struct ServerStats {
-    std::uint64_t puts = 0;
-    std::uint64_t gets = 0;
-    std::uint64_t staged_bytes = 0;   // currently staged
-    std::uint64_t evicted_objects = 0;
-    std::uint64_t index_bytes = 0;    // currently charged
-  };
+struct ServerStats {
+  std::uint64_t puts = 0;
+  std::uint64_t gets = 0;
+  std::uint64_t staged_bytes = 0;   // currently staged
+  std::uint64_t evicted_objects = 0;
+  std::uint64_t index_bytes = 0;    // currently charged
+};
 
+// --- the staging servers' side (internal; at namespace scope so the group
+// core can name the Server type) ---
+
+struct StagedObject {
+  nda::Box box;
+  nda::Slab slab;
+  std::uint64_t bytes = 0;
+  std::uint64_t registered = 0;  // RDMA-pinned bytes (0 on sockets/shm)
+  int region = 0;  // staging region the box belongs to — the anchor of
+                   // the replica chain this object must stay on
+};
+struct VersionEntry {
+  std::vector<StagedObject> objects;
+  // Position of the first placeholder still waiting for its PutCommit.
+  // Every object before it holds content, and content is never taken
+  // back, so a commit's scan starts here.
+  std::size_t first_open = 0;
+  // Spatial index over objects' boxes (ids are positions in `objects`),
+  // so a get resolves overlaps without scanning every staged object.
+  nda::BoxIndex index;
+  std::uint64_t index_bytes = 0;
+  // Variable descriptor (global dims + version), kept so the resilver can
+  // rebuild a PutPrep for objects whose writer is long gone.
+  nda::VarDesc desc;
+};
+
+// Server -> client protocol. Single-answer requests reply through a
+// one-slot sim::Reply; a publish collects one ack per server on a Queue.
+struct PutPrep {
+  nda::VarDesc var;
+  nda::Box box;
+  std::uint64_t bytes;
+  sim::Reply<Status>* reply;
+  int region = 0;
+};
+struct PutCommit {
+  nda::VarDesc var;
+  nda::Slab slab;
+};
+struct GetReq {
+  nda::VarDesc var;
+  nda::Box box;
+  net::Endpoint client;
+  sim::Reply<Result<std::vector<nda::Slab>>>* reply;
+};
+using Request = std::variant<PutPrep, PutCommit, GetReq, staging::Publish,
+                             staging::WaitVersion, staging::Shutdown>;
+
+struct Server : staging::ServerBase<Request> {
+  // Transparent comparators: hot-path lookups take string_view keys
+  // without materializing std::string temporaries.
+  std::map<std::string, std::map<int, VersionEntry>, std::less<>> staged;
+  // Cube-model SFC bucket tables are per variable (one structure whose
+  // entries are updated per version), charged on first contact.
+  std::map<std::string, std::uint64_t, std::less<>> index_charged;
+  ServerStats stats;
+};
+
+// The staging service on its server group (staging/server_group.h), which
+// deploys the servers, keeps the version board and handles crashes.
+class DataSpaces final : public staging::ServerGroup<Server> {
+ public:
   DataSpaces(sim::Engine& engine, hpc::Cluster& cluster,
              net::Transport& transport, Config config);
-  ~DataSpaces();
-
-  DataSpaces(const DataSpaces&) = delete;
-  DataSpaces& operator=(const DataSpaces&) = delete;
-
-  // Places config.num_servers server processes onto the given staging nodes
-  // (config.servers_per_node per node, block-wise) and starts their actors.
-  Status deploy(const std::vector<int>& staging_node_ids);
-
-  // Asks all servers to exit their loops (draining queued requests first).
-  void shutdown();
 
   const Config& config() const { return config_; }
-  int num_servers() const { return static_cast<int>(servers_.size()); }
   LockService& locks() { return locks_; }
-  net::Endpoint server_endpoint(int s) const;
-  mem::ProcessMemory& server_memory(int s);
   const ServerStats& server_stats(int s) const;
 
   // Aggregates across servers (benches).
@@ -129,10 +167,14 @@ class DataSpaces {
     // dspaces_unlock_on_write: publish a completed version (called by one
     // designated writer after all ranks' puts finished). Triggers eviction
     // of versions older than max_versions.
-    sim::Task<Status> publish(const nda::VarDesc& var);
+    sim::Task<Status> publish(const nda::VarDesc& var) {
+      return ds_->publish(self_, var);
+    }
 
     // dspaces_lock_on_read: block until `version` of `var` is published.
-    sim::Task<Status> wait_version(const std::string& var, int version);
+    sim::Task<Status> wait_version(const std::string& var, int version) {
+      return ds_->wait_version(self_, var, version);
+    }
 
     // The named-lock API (dspaces_lock_on_write / _on_read and their
     // unlocks): a control round trip to the master server plus the lock
@@ -155,89 +197,9 @@ class DataSpaces {
  private:
   friend class Client;
 
-  struct StagedObject {
-    nda::Box box;
-    nda::Slab slab;
-    std::uint64_t bytes = 0;
-    std::uint64_t registered = 0;  // RDMA-pinned bytes (0 on sockets/shm)
-    int region = 0;  // staging region the box belongs to — the anchor of
-                     // the replica chain this object must stay on
-  };
-  struct VersionEntry {
-    std::vector<StagedObject> objects;
-    // Position of the first placeholder still waiting for its PutCommit.
-    // Every object before it holds content, and content is never taken
-    // back, so a commit's scan starts here.
-    std::size_t first_open = 0;
-    // Spatial index over objects' boxes (ids are positions in `objects`),
-    // so a get resolves overlaps without scanning every staged object.
-    nda::BoxIndex index;
-    std::uint64_t index_bytes = 0;
-    // Variable descriptor (global dims + version), kept so the resilver can
-    // rebuild a PutPrep for objects whose writer is long gone.
-    nda::VarDesc desc;
-  };
-
-  // Server -> client protocol. Single-answer requests reply through a
-  // one-slot sim::Reply; a publish collects one ack per server on a Queue.
-  struct PutPrep {
-    nda::VarDesc var;
-    nda::Box box;
-    std::uint64_t bytes;
-    sim::Reply<Status>* reply;
-    int region = 0;
-  };
-  struct PutCommit {
-    nda::VarDesc var;
-    nda::Slab slab;
-  };
-  struct GetReq {
-    nda::VarDesc var;
-    nda::Box box;
-    net::Endpoint client;
-    sim::Reply<Result<std::vector<nda::Slab>>>* reply;
-  };
-  struct Publish {
-    std::string var;
-    int version;
-    sim::Queue<Status>* reply = nullptr;  // ack (unlock is synchronous)
-  };
-  struct WaitVersion {
-    std::string var;
-    int version;
-    sim::Reply<Status>* reply;
-  };
-  struct Shutdown {};
-  using Request = std::variant<PutPrep, PutCommit, GetReq, Publish,
-                               WaitVersion, Shutdown>;
-
-  struct Server {
-    int id = 0;
-    net::Endpoint endpoint;
-    std::unique_ptr<mem::ProcessMemory> memory;
-    std::unique_ptr<sim::Queue<Request>> queue;
-    // Transparent comparators: hot-path lookups take string_view keys
-    // without materializing std::string temporaries.
-    std::map<std::string, std::map<int, VersionEntry>, std::less<>> staged;
-    // Cube-model SFC bucket tables are per variable (one structure whose
-    // entries are updated per version), charged on first contact.
-    std::map<std::string, std::uint64_t, std::less<>> index_charged;
-    ServerStats stats;
-    // Set by the fault layer's scheduled crash: a crashed server refuses
-    // every request with kConnectionFailed (but still honors Shutdown, so
-    // teardown keeps the leak ledger clean).
-    bool crashed = false;
-  };
-
-  // Version board (kept on server 0).
-  struct Board {
-    std::map<std::string, int> published;  // var -> highest version
-    std::vector<WaitVersion> waiters;
-  };
-
-  sim::Task<> server_loop(Server& server);
-  // Frees everything a server still holds (staged objects, index tables,
-  // base pool, connections) when it exits its loop on Shutdown.
+  sim::Task<> server_loop(Server& server) override;
+  // Frees the staged objects and index tables a server still holds when it
+  // exits its loop on Shutdown (the group then frees the rest).
   void teardown_server(Server& server);
   void evict_versions(Server& server, std::string_view var,
                       int newest_version);
@@ -248,13 +210,6 @@ class DataSpaces {
   // One attempt of the wait-and-retry loop (driven by fault::retry).
   sim::Task<Status> stage_attempt(Server& server, const PutPrep& req,
                                   int attempt);
-  // Scheduled staging-server crash (fault plan): marks the server crashed
-  // at time `at`, fails parked version waiters with a typed error when the
-  // last board replica dies, and kicks off the background resilver when a
-  // replication policy is bound.
-  sim::Task<> crash_watcher(int index, double at);
-  // Replies kConnectionFailed to whatever request a crashed server popped.
-  static void refuse(const Server& server, Request& request);
 
   // --- replication (imc::repl; factor_ == 1 bypasses all of it) ---
   // Server id at chain position k of region `region_idx`'s replica chain.
@@ -262,8 +217,6 @@ class DataSpaces {
     return repl::chain_position(server_of_region(region_idx, num_servers()),
                                 k, num_servers());
   }
-  bool board_member(int id) const { return id < board_span_; }
-  int live_board_members() const;
   // One server-to-server object copy: transfer out of the source's pinned
   // staging memory, stage + commit on the destination. Used by the resilver
   // and the async put continuation.
@@ -278,14 +231,13 @@ class DataSpaces {
   // Background resilver after the crash of server `crashed`: re-copies
   // every under-replicated staged object onto the first surviving chain
   // candidates, each copy retried under the policy's resilver_retry.
-  sim::Task<> resilver(int crashed, double crashed_at);
+  sim::Task<> resilver(int crashed, double crashed_at) override;
   // One resilver copy attempt: re-picks the surviving source and the first
   // live candidate lacking the object *per attempt*, so a follow-on crash
   // mid-retry re-routes instead of hammering a dead server.
   sim::Task<Status> resilver_copy_once(nda::VarDesc var, int region,
                                        nda::Box box, std::uint64_t bytes);
   void handle_put_commit(Server& server, PutCommit& req);
-  void handle_publish(Server& server, const Publish& req);
   sim::Task<> run_get(Server& server, GetReq req);
 
   const RegionSet& regions_of(const nda::VarDesc& var);
@@ -295,7 +247,6 @@ class DataSpaces {
            k == net::TransportKind::kRdmaNnti;
   }
 
-  static constexpr std::uint64_t kCtrlBytes = 128;
   // Per-request server costs: descriptor handling plus DHT/SFC index
   // insertion and uGNI handshakes. These fixed per-object costs are what
   // make the N-to-1 decomposition mismatch expensive at scale (each rank's
@@ -304,25 +255,10 @@ class DataSpaces {
   static constexpr double kServerServiceSeconds = 20e-6;
   static constexpr double kIndexOpSeconds = 60e-6;
 
-  sim::Engine* engine_;
-  hpc::Cluster* cluster_;
-  net::Transport* transport_;
   Config config_;
-  std::vector<std::unique_ptr<Server>> servers_;
-  Board board_;
   LockService locks_;
-  // Effective replication knobs, captured from the bound repl::Coordinator
-  // at deploy() so every request of the deployment sees one policy. The
-  // defaults reproduce the unreplicated behavior byte-for-byte.
-  int factor_ = 1;
-  int quorum_ = 1;
-  repl::Mode mode_ = repl::Mode::kSync;
-  // Servers 0..board_span_-1 replicate the version board; waiters only fail
-  // when the last of them dies.
-  int board_span_ = 1;
   // Values point into staging_regions_cached's process-lifetime cache.
   std::map<std::string, const RegionSet*, std::less<>> region_cache_;
-  int next_pid_ = 900000;  // server pid space, distinct from rank pids
 };
 
 }  // namespace imc::dataspaces

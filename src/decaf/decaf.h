@@ -91,7 +91,6 @@ class Dataflow {
            std::vector<mem::ProcessMemory*> rank_memory);
 
   const Config& config() const { return config_; }
-  int num_dflow() const { return ndflow_; }
 
   // Producer side: wrap the slab into a container, flatten, split by the
   // redistribution policy and ship each chunk to its dataflow rank.

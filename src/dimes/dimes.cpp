@@ -7,95 +7,45 @@
 #include "trace/trace.h"
 
 namespace imc::dimes {
+namespace {
+
+// Whether `server`'s directory holds `desc` for version `version` of `name`.
+bool holds(const Server& server, const std::string& name, int version,
+           const ObjectDesc& desc) {
+  auto dit = server.directory.find(name);
+  if (dit == server.directory.end()) return false;
+  auto vit = dit->second.find(version);
+  if (vit == dit->second.end()) return false;
+  for (const ObjectDesc& held : vit->second.descs) {
+    if (held.box == desc.box && held.owner_pid == desc.owner_pid) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 Dimes::Dimes(sim::Engine& engine, hpc::Cluster& cluster,
              net::Transport& transport, Config config)
-    : engine_(&engine),
-      cluster_(&cluster),
-      transport_(&transport),
+    : ServerGroup(engine, cluster, transport,
+                  {.noun = "metadata",
+                   .pid_base = 800000,
+                   .memory_prefix = "dimes-server-",
+                   .num_servers = config.num_servers,
+                   .servers_per_node = config.servers_per_node,
+                   .base_bytes = config.server_base_bytes}),
       config_(std::move(config)) {}
 
-Dimes::~Dimes() = default;
-
-Status Dimes::deploy(const std::vector<int>& staging_node_ids) {
-  if (staging_node_ids.empty() || config_.num_servers <= 0) {
-    return make_error(ErrorCode::kInvalidArgument,
-                      "deploy requires staging nodes and num_servers > 0");
-  }
-  for (int s = 0; s < config_.num_servers; ++s) {
-    auto server = std::make_unique<Server>();
-    server->id = s;
-    const int node_id =
-        staging_node_ids[static_cast<std::size_t>(s / config_.servers_per_node) %
-                         staging_node_ids.size()];
-    hpc::Node& node = cluster_->node(node_id);
-    server->endpoint = net::Endpoint{next_pid_++, /*job=*/2, &node};
-    server->memory = std::make_unique<mem::ProcessMemory>(
-        *engine_, "dimes-server-" + std::to_string(s), &node.memory());
-    server->queue = std::make_unique<sim::Queue<Request>>(*engine_);
-    if (Status st = server->memory->allocate(mem::Tag::kLibrary,
-                                             config_.server_base_bytes);
-        !st.is_ok()) {
-      return st;
-    }
-    servers_.push_back(std::move(server));
-  }
-  for (auto& server : servers_) engine_->spawn(server_loop(*server));
-  // Replication knobs are pinned per deployment: every metadata op of this
-  // world walks chains of the same effective factor.
-  if (repl::Coordinator* coordinator = repl::active()) {
-    factor_ = coordinator->factor_for(num_servers());
-    quorum_ = coordinator->quorum_for(factor_);
-    mode_ = coordinator->policy().mode;
-  }
-  board_span_ = factor_ > 1 ? std::min(factor_, num_servers()) : 1;
-  if (fault::Injector* injector = fault::active()) {
-    for (const fault::Plan::ServerCrash& crash :
-         injector->plan().crash_schedule()) {
-      if (crash.server >= 0 &&
-          crash.server < static_cast<int>(servers_.size())) {
-        engine_->spawn(crash_watcher(crash.server, crash.at));
-      }
-    }
-  }
-  return Status::ok();
-}
-
-int Dimes::live_board_members() const {
-  int live = 0;
-  for (int s = 0; s < board_span_; ++s) {
-    if (!servers_[static_cast<std::size_t>(s)]->crashed) ++live;
-  }
-  return live;
-}
-
-void Dimes::shutdown() {
-  for (auto& server : servers_) server->queue->push(Shutdown{});
-}
-
-net::Endpoint Dimes::server_endpoint(int s) const {
-  return servers_.at(static_cast<std::size_t>(s))->endpoint;
-}
-
-mem::ProcessMemory& Dimes::server_memory(int s) {
-  return *servers_.at(static_cast<std::size_t>(s))->memory;
-}
-
-const Dimes::ServerStats& Dimes::server_stats(int s) const {
+const ServerStats& Dimes::server_stats(int s) const {
   return servers_.at(static_cast<std::size_t>(s))->stats;
-}
-
-Dimes::Server& Dimes::server_for(const std::string& var_name) {
-  const std::size_t h = std::hash<std::string>{}(var_name);
-  return *servers_[h % servers_.size()];
 }
 
 sim::Task<> Dimes::server_loop(Server& server) {
   for (;;) {
     Request request = co_await server.queue->pop();
-    if (std::holds_alternative<Shutdown>(request)) {
-      // Free the metadata directory and base pool, and drop connections, so
-      // a finished run leaves nothing behind on the staging nodes.
+    if (std::holds_alternative<staging::Shutdown>(request)) {
+      // Free the metadata directory (the group then frees the base pool and
+      // drops connections), so a finished run leaves nothing behind on the
+      // staging nodes.
       std::uint64_t entries = 0;
       for (const auto& [var, versions] : server.directory) {
         (void)var;
@@ -107,15 +57,11 @@ sim::Task<> Dimes::server_loop(Server& server) {
       server.memory->free(mem::Tag::kIndex,
                           config_.per_object_meta_bytes * entries);
       server.directory.clear();
-      server.memory->free(mem::Tag::kLibrary, config_.server_base_bytes);
-      transport_->disconnect_all(server.endpoint);
+      close(server);
       break;
     }
     if (server.crashed) {
-      // A crashed metadata server refuses instead of servicing (no service
-      // sleep either); Shutdown above still tears down normally, so the
-      // leak ledger stays clean.
-      refuse(server, request);
+      refuse(server, request);  // no service sleep either
       continue;
     }
     co_await engine_->sleep(kServerServiceSeconds);
@@ -153,7 +99,7 @@ sim::Task<> Dimes::server_loop(Server& server) {
       } else {
         query->reply->push(std::move(hits));
       }
-    } else if (auto* publish = std::get_if<Publish>(&request)) {
+    } else if (auto* publish = std::get_if<staging::Publish>(&request)) {
       // Drop directory entries of evicted versions; clients evict their
       // local buffers on their own put/publish path.
       if (auto dit = server.directory.find(publish->var);
@@ -171,65 +117,9 @@ sim::Task<> Dimes::server_loop(Server& server) {
           }
         }
       }
-      // Board members only (publishes are broadcast): the board struct is
-      // shared, so the first member to apply a publish wakes the waiters —
-      // the wake time is the minimum over members, schedule-invariant.
-      if (board_member(server.id)) {
-        int& published = board_.published[publish->var];
-        published = std::max(published, publish->version);
-        auto it = board_.waiters.begin();
-        while (it != board_.waiters.end()) {
-          if (it->var == publish->var && published >= it->version) {
-            it->reply->push(Status::ok());
-            it = board_.waiters.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-      publish->reply->push(Status::ok());
-    } else if (auto* wait = std::get_if<WaitVersion>(&request)) {
-      auto it = board_.published.find(wait->var);
-      if (it != board_.published.end() && it->second >= wait->version) {
-        wait->reply->push(Status::ok());
-      } else {
-        board_.waiters.push_back(*wait);
-      }
-    }
-  }
-}
-
-sim::Task<> Dimes::crash_watcher(int index, double at) {
-  co_await engine_->sleep(std::max(0.0, at - engine_->now()));
-  Server& server = *servers_[static_cast<std::size_t>(index)];
-  if (server.crashed) co_return;
-  server.crashed = true;
-  if (fault::Injector* injector = fault::active()) {
-    injector->note_server_crash();
-  }
-  trace::Span span = trace::span(
-      "fault.server_crash",
-      trace::Track{server.endpoint.node->id(), server.endpoint.pid});
-  span.arg("server", static_cast<double>(index));
-  // Parked version waiters would otherwise hang forever on a dead board;
-  // fail them with a typed error the workflow can report. With replication
-  // on, the board survives on servers 0..board_span_-1, so waiters only
-  // fail when the last board replica dies.
-  if (board_member(server.id) && live_board_members() == 0) {
-    for (WaitVersion& waiter : board_.waiters) {
-      waiter.reply->push(make_error(
-          ErrorCode::kConnectionFailed,
-          "metadata server " + std::to_string(index) +
-              " crashed (no board replica left)"));
-    }
-    board_.waiters.clear();
-  }
-  // Rebuild lost directory redundancy in the background, racing follow-on
-  // crashes.
-  if (factor_ > 1) {
-    repl::Coordinator* coordinator = repl::active();
-    if (coordinator != nullptr && coordinator->policy().resilver) {
-      engine_->spawn(resilver(index, at));
+      board_publish(server, *publish);
+    } else if (auto* wait = std::get_if<staging::WaitVersion>(&request)) {
+      board_wait(*wait);
     }
   }
 }
@@ -281,19 +171,9 @@ sim::Task<Status> Dimes::meta_copy_once(std::string var_name, int version,
     const int id = repl::chain_position(primary, k, ns);
     Server& cand = *servers_[static_cast<std::size_t>(id)];
     if (cand.crashed) continue;
-    bool holds = false;
-    if (auto dit = cand.directory.find(var_name); dit != cand.directory.end()) {
-      if (auto vit = dit->second.find(version); vit != dit->second.end()) {
-        for (const ObjectDesc& held : vit->second.descs) {
-          if (held.box == desc.box && held.owner_pid == desc.owner_pid) {
-            holds = true;
-            break;
-          }
-        }
-      }
-    }
-    if (holds && src < 0) src = id;
-    if (!holds && dst < 0) dst = id;
+    const bool has = holds(cand, var_name, version, desc);
+    if (has && src < 0) src = id;
+    if (!has && dst < 0) dst = id;
   }
   if (src < 0) {
     co_return make_error(ErrorCode::kNotFound,
@@ -317,23 +197,9 @@ sim::Task<Status> Dimes::meta_copy_once(std::string var_name, int version,
   // Re-validate after the awaits: either end may have crashed and the
   // source entry may have been evicted while the copy was in flight.
   if (from.crashed || to.crashed) {
-    co_return make_error(ErrorCode::kConnectionFailed,
-                         "metadata server " +
-                             std::to_string(from.crashed ? src : dst) +
-                             " crashed mid-copy");
+    co_return crash_error(from.crashed ? src : dst, " mid-copy");
   }
-  bool still_there = false;
-  if (auto dit = from.directory.find(var_name); dit != from.directory.end()) {
-    if (auto vit = dit->second.find(version); vit != dit->second.end()) {
-      for (const ObjectDesc& held : vit->second.descs) {
-        if (held.box == desc.box && held.owner_pid == desc.owner_pid) {
-          still_there = true;
-          break;
-        }
-      }
-    }
-  }
-  if (!still_there) {
+  if (!holds(from, var_name, version, desc)) {
     co_return make_error(ErrorCode::kNotFound,
                          "source descriptor evicted mid-copy");
   }
@@ -400,18 +266,8 @@ sim::Task<> Dimes::resilver(int crashed, double crashed_at) {
       for (int k = 0; k < ns; ++k) {
         Server& cand = *servers_[static_cast<std::size_t>(
             repl::chain_position(primary, k, ns))];
-        if (cand.crashed) continue;
-        if (auto dit = cand.directory.find(name); dit != cand.directory.end()) {
-          if (auto vit = dit->second.find(item.version);
-              vit != dit->second.end()) {
-            for (const ObjectDesc& held : vit->second.descs) {
-              if (held.box == item.desc.box &&
-                  held.owner_pid == item.desc.owner_pid) {
-                ++holders;
-                break;
-              }
-            }
-          }
+        if (!cand.crashed && holds(cand, name, item.version, item.desc)) {
+          ++holders;
         }
       }
       for (int deficit = goal - holders; deficit > 0; --deficit) {
@@ -440,21 +296,6 @@ sim::Task<> Dimes::resilver(int crashed, double crashed_at) {
   coordinator->note_redundancy_restored(engine_->now() - crashed_at);
 }
 
-void Dimes::refuse(const Server& server, Request& request) {
-  const Status crashed = make_error(
-      ErrorCode::kConnectionFailed,
-      "metadata server " + std::to_string(server.id) + " crashed");
-  if (auto* put = std::get_if<PutMeta>(&request)) {
-    put->reply->push(crashed);
-  } else if (auto* query = std::get_if<QueryMeta>(&request)) {
-    query->reply->push(crashed);
-  } else if (auto* publish = std::get_if<Publish>(&request)) {
-    publish->reply->push(crashed);
-  } else if (auto* wait = std::get_if<WaitVersion>(&request)) {
-    wait->reply->push(crashed);
-  }
-}
-
 // ------------------------------------------------------------- client -----
 
 sim::Task<Status> Dimes::Client::init() {
@@ -464,13 +305,7 @@ sim::Task<Status> Dimes::Client::init() {
       !st.is_ok()) {
     co_return st;
   }
-  for (auto& server : dimes_->servers_) {
-    if (Status st = co_await dimes_->transport_->connect(self_,
-                                                         server->endpoint);
-        !st.is_ok()) {
-      co_return st;
-    }
-  }
+  if (Status st = co_await dimes_->connect(self_); !st.is_ok()) co_return st;
   dimes_->clients_[self_.pid] = this;
   initialized_ = true;
   co_return Status::ok();
@@ -744,82 +579,6 @@ sim::Task<Result<nda::Slab>> Dimes::Client::get(const nda::VarDesc& var,
                              " elements");
   }
   co_return nda::assemble(box, pieces, dimes_->config_.materialize_cap_elems);
-}
-
-sim::Task<Status> Dimes::Client::publish(const nda::VarDesc& var) {
-  if (dimes_->factor_ > 1) {
-    // Replicated publish: per-server ack queues so refusals are
-    // attributable. A crashed server's refusal is tolerated — its directory
-    // entries live on chain replicas — as long as one live board member
-    // applied the version bump.
-    std::vector<std::unique_ptr<sim::Queue<Status>>> acks;
-    acks.reserve(dimes_->servers_.size());
-    for (auto& server : dimes_->servers_) {
-      acks.push_back(std::make_unique<sim::Queue<Status>>(*dimes_->engine_));
-      co_await dimes_->transport_->transfer(
-          self_, server->endpoint, kCtrlBytes,
-          {.src_pinned = true, .dst_pinned = true});
-      server->queue->push(Publish{var.name, var.version, acks.back().get()});
-    }
-    bool board_applied = false;
-    Status hard = Status::ok();
-    Status refused = Status::ok();
-    for (std::size_t s = 0; s < acks.size(); ++s) {
-      Status ack = co_await acks[s]->pop();
-      if (ack.is_ok()) {
-        if (dimes_->board_member(static_cast<int>(s))) board_applied = true;
-      } else if (ack.code() == ErrorCode::kConnectionFailed) {
-        refused = std::move(ack);
-      } else {
-        hard = std::move(ack);
-      }
-    }
-    if (!hard.is_ok()) co_return hard;
-    if (!board_applied) {
-      co_return refused.is_ok()
-                    ? make_error(ErrorCode::kConnectionFailed,
-                                 "no live board replica acknowledged publish "
-                                 "of " + var.name)
-                    : refused;
-    }
-    co_return Status::ok();
-  }
-  sim::Queue<Status> acks(*dimes_->engine_);
-  for (auto& server : dimes_->servers_) {
-    co_await dimes_->transport_->transfer(self_, server->endpoint, kCtrlBytes,
-                                          {.src_pinned = true,
-                                           .dst_pinned = true});
-    server->queue->push(Publish{var.name, var.version, &acks});
-  }
-  // A crashed server's refusal must surface — its directory entries for
-  // this step will never be readable.
-  Status worst = Status::ok();
-  for (std::size_t i = 0; i < dimes_->servers_.size(); ++i) {
-    Status ack = co_await acks.pop();
-    if (!ack.is_ok()) worst = std::move(ack);
-  }
-  co_return worst;
-}
-
-sim::Task<Status> Dimes::Client::wait_version(const std::string& var,
-                                              int version) {
-  // Probe the board replicas in chain order; a refused member (crashed) is
-  // skipped while a live one remains. Unreplicated runs keep the historical
-  // master-only behavior.
-  Status last = Status::ok();
-  for (int s = 0; s < dimes_->board_span_; ++s) {
-    Server& member = *dimes_->servers_[static_cast<std::size_t>(s)];
-    sim::Reply<Status> reply(*dimes_->engine_);
-    co_await dimes_->transport_->transfer(
-        self_, member.endpoint, kCtrlBytes,
-        {.src_pinned = true, .dst_pinned = true});
-    member.queue->push(WaitVersion{var, version, &reply});
-    last = co_await reply.pop();
-    if (dimes_->factor_ <= 1 || last.code() != ErrorCode::kConnectionFailed) {
-      co_return last;
-    }
-  }
-  co_return last;
 }
 
 void Dimes::Client::finalize() {

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -24,15 +23,8 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "fault/fault.h"
-#include "hpc/cluster.h"
-#include "mem/memory.h"
 #include "ndarray/index.h"
-#include "ndarray/ndarray.h"
-#include "net/transport.h"
-#include "repl/repl.h"
-#include "sim/engine.h"
-#include "sim/sync.h"
-#include "sim/task.h"
+#include "staging/server_group.h"
 
 namespace imc::dimes {
 
@@ -54,33 +46,54 @@ struct Config {
   fault::RetryPolicy meta_retry{.max_attempts = 3, .initial_backoff = 2e-3};
 };
 
-class Dimes {
- private:
-  // Forward declarations so Client's method signatures can name them; the
-  // definitions live in the private section below.
-  struct Server;
-  struct ObjectDesc;
+struct ServerStats {
+  std::uint64_t objects = 0;
+  std::uint64_t queries = 0;
+};
 
+// --- the metadata servers' side (internal; at namespace scope so the group
+// core can name the Server type) ---
+
+struct ObjectDesc {
+  nda::Box box;
+  int owner_pid;
+};
+// One version's descriptors plus a spatial index over their boxes (ids
+// are positions in `descs`), so queries skip non-intersecting objects.
+struct VersionDescs {
+  std::vector<ObjectDesc> descs;
+  nda::BoxIndex index;
+};
+
+struct PutMeta {
+  nda::VarDesc var;
+  nda::Box box;
+  int owner_pid;
+  sim::Reply<Status>* reply;
+};
+struct QueryMeta {
+  nda::VarDesc var;
+  nda::Box box;
+  sim::Reply<Result<std::vector<ObjectDesc>>>* reply;
+};
+using Request = std::variant<PutMeta, QueryMeta, staging::Publish,
+                             staging::WaitVersion, staging::Shutdown>;
+
+struct Server : staging::ServerBase<Request> {
+  // var -> version -> descriptors (transparent comparator: lookups take
+  // string_view keys without building std::string temporaries)
+  std::map<std::string, std::map<int, VersionDescs>, std::less<>> directory;
+  ServerStats stats;
+};
+
+// The DIMES metadata service on its server group (staging/server_group.h),
+// which deploys the servers, keeps the version board and handles crashes.
+class Dimes final : public staging::ServerGroup<Server> {
  public:
-  struct ServerStats {
-    std::uint64_t objects = 0;
-    std::uint64_t queries = 0;
-  };
-
   Dimes(sim::Engine& engine, hpc::Cluster& cluster, net::Transport& transport,
         Config config);
-  ~Dimes();
-
-  Dimes(const Dimes&) = delete;
-  Dimes& operator=(const Dimes&) = delete;
-
-  Status deploy(const std::vector<int>& staging_node_ids);
-  void shutdown();
 
   const Config& config() const { return config_; }
-  int num_servers() const { return static_cast<int>(servers_.size()); }
-  net::Endpoint server_endpoint(int s) const;
-  mem::ProcessMemory& server_memory(int s);
   const ServerStats& server_stats(int s) const;
 
   class Client {
@@ -101,8 +114,12 @@ class Dimes {
     sim::Task<Result<nda::Slab>> get(const nda::VarDesc& var,
                                      const nda::Box& box);
 
-    sim::Task<Status> publish(const nda::VarDesc& var);
-    sim::Task<Status> wait_version(const std::string& var, int version);
+    sim::Task<Status> publish(const nda::VarDesc& var) {
+      return dimes_->publish(self_, var);
+    }
+    sim::Task<Status> wait_version(const std::string& var, int version) {
+      return dimes_->wait_version(self_, var, version);
+    }
     void finalize();
 
     std::uint64_t buffer_in_use() const { return buffer_used_; }
@@ -138,66 +155,7 @@ class Dimes {
  private:
   friend class Client;
 
-  struct ObjectDesc {
-    nda::Box box;
-    int owner_pid;
-  };
-  // One version's descriptors plus a spatial index over their boxes (ids
-  // are positions in `descs`), so queries skip non-intersecting objects.
-  struct VersionDescs {
-    std::vector<ObjectDesc> descs;
-    nda::BoxIndex index;
-  };
-
-  struct PutMeta {
-    nda::VarDesc var;
-    nda::Box box;
-    int owner_pid;
-    sim::Reply<Status>* reply;
-  };
-  struct QueryMeta {
-    nda::VarDesc var;
-    nda::Box box;
-    sim::Reply<Result<std::vector<ObjectDesc>>>* reply;
-  };
-  struct Publish {
-    std::string var;
-    int version;
-    sim::Queue<Status>* reply;
-  };
-  struct WaitVersion {
-    std::string var;
-    int version;
-    sim::Reply<Status>* reply;
-  };
-  struct Shutdown {};
-  using Request =
-      std::variant<PutMeta, QueryMeta, Publish, WaitVersion, Shutdown>;
-
-  struct Server {
-    int id = 0;
-    net::Endpoint endpoint;
-    std::unique_ptr<mem::ProcessMemory> memory;
-    std::unique_ptr<sim::Queue<Request>> queue;
-    // var -> version -> descriptors (transparent comparator: lookups take
-    // string_view keys without building std::string temporaries)
-    std::map<std::string, std::map<int, VersionDescs>, std::less<>> directory;
-    ServerStats stats;
-    // Set by the fault layer's scheduled crash; a crashed metadata server
-    // refuses requests but still honors Shutdown for clean teardown.
-    bool crashed = false;
-  };
-  struct Board {
-    std::map<std::string, int> published;
-    std::vector<WaitVersion> waiters;
-  };
-
-  sim::Task<> server_loop(Server& server);
-  Server& server_for(const std::string& var_name);
-  // Scheduled metadata-server crash from the bound fault plan.
-  sim::Task<> crash_watcher(int index, double at);
-  // Replies kConnectionFailed to whatever a crashed server popped.
-  static void refuse(const Server& server, Request& request);
+  sim::Task<> server_loop(Server& server) override;
 
   // --- metadata replication (imc::repl; factor_ == 1 bypasses all of it) ---
   // Staged data lives in client memory here, so what replication protects is
@@ -207,8 +165,6 @@ class Dimes {
     return static_cast<int>(std::hash<std::string>{}(var_name) %
                             servers_.size());
   }
-  bool board_member(int id) const { return id < board_span_; }
-  int live_board_members() const;
   // Async-mode continuation: forward the descriptor to the remaining chain
   // members from the first acked server, off the writer's critical path.
   sim::Task<> async_put_meta(int src_id, nda::VarDesc var, nda::Box box,
@@ -220,26 +176,12 @@ class Dimes {
   // Background resilver after the crash of metadata server `crashed`:
   // re-copies under-replicated directory entries onto surviving chain
   // members.
-  sim::Task<> resilver(int crashed, double crashed_at);
+  sim::Task<> resilver(int crashed, double crashed_at) override;
 
-  static constexpr std::uint64_t kCtrlBytes = 128;
   static constexpr double kServerServiceSeconds = 8e-6;
 
-  sim::Engine* engine_;
-  hpc::Cluster* cluster_;
-  net::Transport* transport_;
   Config config_;
-  std::vector<std::unique_ptr<Server>> servers_;
-  Board board_;
   std::map<int, Client*> clients_;  // pid -> client (object directory)
-  // Effective replication knobs, captured from the bound repl::Coordinator
-  // at deploy(); defaults reproduce the unreplicated behavior byte-for-byte.
-  int factor_ = 1;
-  int quorum_ = 1;
-  repl::Mode mode_ = repl::Mode::kSync;
-  // Servers 0..board_span_-1 replicate the version board.
-  int board_span_ = 1;
-  int next_pid_ = 800000;
 };
 
 }  // namespace imc::dimes

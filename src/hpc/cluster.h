@@ -80,7 +80,6 @@ class RdmaPool {
 
   std::uint64_t bytes_used() const { return bytes_used_; }
   std::uint64_t bytes_capacity() const { return byte_capacity_; }
-  std::uint64_t handlers_used() const { return handlers_used_; }
   std::uint64_t handler_capacity() const { return handler_capacity_; }
   std::uint64_t peak_bytes() const { return peak_bytes_; }
   std::uint64_t peak_handlers() const { return peak_handlers_; }

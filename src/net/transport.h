@@ -136,7 +136,6 @@ class SocketTransport final : public Transport {
   void disconnect_all(const Endpoint& e) override;
 
   std::size_t open_connections() const { return connections_.size(); }
-  std::size_t open_pools() const { return pools_.size(); }
 
  private:
   struct Conn {

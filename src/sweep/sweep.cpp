@@ -65,6 +65,14 @@ void note_world_stats(prof::Meter& m, const arena::Arena& arena,
   m.count("trace.events_dropped", static_cast<double>(dropped));
 }
 
+// One job's flush, on the "job.flush" timer of the calling lane: writes its
+// captured log bytes, then emits its trace chunks.
+void flush_job(const LogText& logs, std::vector<trace::RunChunk> chunks) {
+  prof::Timer timer = prof::timer("job.flush");
+  write_log_output(logs);
+  for (trace::RunChunk& chunk : chunks) trace::emit_chunk(std::move(chunk));
+}
+
 }  // namespace
 
 void WorldContext::run(const std::function<void()>& job) {
@@ -144,23 +152,13 @@ void Pool::run_indexed(std::size_t n,
         context.run([&fn, i] { fn(i); });
       } catch (...) {
         run_timer.stop();
-        prof::Timer flush_timer = prof::timer("job.flush");
-        write_log_output(context.take_logs());
-        for (trace::RunChunk& chunk : context.take_chunks()) {
-          trace::emit_chunk(std::move(chunk));
-        }
-        flush_timer.stop();
+        flush_job(context.take_logs(), context.take_chunks());
         fold_lane();
         throw;
       }
       run_timer.stop();
       prof::count("jobs");
-      prof::Timer flush_timer = prof::timer("job.flush");
-      write_log_output(context.take_logs());
-      for (trace::RunChunk& chunk : context.take_chunks()) {
-        trace::emit_chunk(std::move(chunk));
-      }
-      flush_timer.stop();
+      flush_job(context.take_logs(), context.take_chunks());
     }
     fold_lane();
     return;
@@ -286,11 +284,7 @@ void Pool::run_indexed(std::size_t n,
   {
     prof::Timer flush_timer = prof::timer("pool.flush");
     for (std::size_t i = 0; i < n; ++i) {
-      prof::Timer job_flush = prof::timer("job.flush");
-      write_log_output(logs[i]);
-      for (trace::RunChunk& chunk : chunks[i]) {
-        trace::emit_chunk(std::move(chunk));
-      }
+      flush_job(logs[i], std::move(chunks[i]));
     }
   }
   if (prof_on) {

@@ -3,13 +3,17 @@
 // accounting, and schedule invariance of replicated chaos runs.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "check/check.h"
 #include "common/audit.h"
 #include "dataspaces/dataspaces.h"
+#include "dimes/dimes.h"
 #include "fault/fault.h"
 #include "hpc/cluster.h"
 #include "net/fabric.h"
@@ -57,39 +61,46 @@ TEST(ReplPolicy, FactorAndQuorumClampToTheDeployment) {
   EXPECT_EQ(clamped.quorum_for(3), 3);
 }
 
-// ------------------------------------------------------- DataSpaces ------
+// ------------------------------------------------ DataSpaces and DIMES ---
 
-struct ReplDsFixture : ::testing::Test {
-  ReplDsFixture()
+// GCC 12 rejects `(co_await task).is_ok()` inside a template, so the
+// fixture's coroutines pass each awaited Status through here.
+bool ok(const Status& st) { return st.is_ok(); }
+
+// The library-level fixture over either server group; the crash handling
+// under test is the one staging::ServerGroup both libraries share.
+template <class Lib>
+struct ReplLibFixture : ::testing::Test {
+  using Config = std::remove_cvref_t<decltype(std::declval<Lib&>().config())>;
+
+  ReplLibFixture()
       : machine(hpc::titan()),
         cluster(machine),
         fabric(engine, machine),
         ugni(engine, fabric, net::TransportKind::kRdmaUgni) {}
 
-  std::unique_ptr<dataspaces::DataSpaces> deploy(int ns) {
-    dataspaces::Config ds_config;
-    ds_config.num_servers = ns;
-    auto ds = std::make_unique<dataspaces::DataSpaces>(engine, cluster, ugni,
-                                                       ds_config);
-    const int nodes = (ns + ds_config.servers_per_node - 1) /
-                      ds_config.servers_per_node;
-    EXPECT_TRUE(ds->deploy(cluster.allocate_nodes(nodes)).is_ok());
-    return ds;
+  std::unique_ptr<Lib> deploy(int ns) {
+    Config config;
+    config.num_servers = ns;
+    auto lib = std::make_unique<Lib>(engine, cluster, ugni, config);
+    const int nodes =
+        (ns + config.servers_per_node - 1) / config.servers_per_node;
+    EXPECT_TRUE(lib->deploy(cluster.allocate_nodes(nodes)).is_ok());
+    return lib;
   }
 
   struct Rank {
     net::Endpoint ep;
     std::unique_ptr<mem::ProcessMemory> memory;
-    std::unique_ptr<dataspaces::DataSpaces::Client> client;
+    std::unique_ptr<typename Lib::Client> client;
   };
-  Rank make_rank(dataspaces::DataSpaces& ds, int pid) {
+  Rank make_rank(Lib& lib, int pid) {
     const int node = cluster.allocate_nodes(1)[0];
     Rank r;
     r.ep = net::Endpoint{pid, 0, &cluster.node(node)};
     r.memory = std::make_unique<mem::ProcessMemory>(
         engine, "rank" + std::to_string(pid));
-    r.client = std::make_unique<dataspaces::DataSpaces::Client>(ds, r.ep,
-                                                                *r.memory);
+    r.client = std::make_unique<typename Lib::Client>(lib, r.ep, *r.memory);
     return r;
   }
 
@@ -99,6 +110,106 @@ struct ReplDsFixture : ::testing::Test {
         << engine.process_failures()[0];
   }
 
+  // Factor 2 on four servers; server `anchor`, the first of the chain that
+  // holds "field", dies after the data is staged. The read must succeed
+  // through the replica (a degraded read, not an error) and the background
+  // resilver must re-copy the dead server's share onto surviving chain
+  // members.
+  void crashed_primary_is_transparent(int anchor) {
+    Policy policy;
+    policy.factor = 2;
+    Coordinator coordinator(policy);
+    fault::Plan plan;
+    plan.server_crash = {0.5, anchor};
+    fault::Injector injector(plan);
+    BindWorld bind({.fault = &injector, .repl = &coordinator});
+
+    auto lib = deploy(4);
+    auto writer = make_rank(*lib, 1);
+    auto reader = make_rank(*lib, 2);
+    const VarDesc var{kField, {16, 32}, 0};
+    Slab source = Slab::synthetic(Box::whole(var.global), 11);
+
+    engine.spawn([](Rank& w, VarDesc v, Slab src) -> sim::Task<> {
+      EXPECT_TRUE(ok(co_await w.client->init()));
+      EXPECT_TRUE(ok(co_await w.client->put(v, src)));
+      EXPECT_TRUE(ok(co_await w.client->publish(v)));
+    }(writer, var, source));
+    engine.spawn([](sim::Engine& e, Rank& r, VarDesc v, Slab src)
+                     -> sim::Task<> {
+      EXPECT_TRUE(ok(co_await r.client->init()));
+      EXPECT_TRUE(ok(co_await r.client->wait_version(v.name, 0)));
+      co_await e.sleep(1.0);  // read after the crash (and the resilver)
+      auto got = co_await r.client->get(v, Box::whole(v.global));
+      EXPECT_TRUE(got.has_value()) << got.status();
+      if (got.has_value()) {
+        EXPECT_DOUBLE_EQ(got->checksum(), src.checksum());
+      }
+    }(engine, reader, var, source));
+    run_all();
+
+    const Stats& stats = coordinator.stats();
+    EXPECT_GT(stats.replica_puts, 0u);     // puts wrote chain copies
+    EXPECT_EQ(stats.objects_lost, 0u);     // nothing became unreadable
+    EXPECT_GT(stats.degraded_gets, 0u);    // served past the corpse
+    EXPECT_GT(stats.resilver_copies, 0u);  // redundancy was rebuilt
+    EXPECT_EQ(stats.restores, 1u);
+    EXPECT_GE(stats.time_to_restore, 0.0);
+
+    lib->shutdown();
+    engine.run();
+  }
+
+  // Unreplicated master crash with a parked WaitVersion waiter and an
+  // in-flight Publish. Every waiter must fail with a typed error (not
+  // hang), the publisher must see the refusal, and teardown must leave a
+  // clean leak ledger. `noun` names the library's servers.
+  void master_crash_fails_parked_waiters(const std::string& noun) {
+    audit::Auditor auditor;
+    fault::Plan plan;
+    plan.server_crash = {0.5, 0};
+    fault::Injector injector(plan);
+    BindWorld bind({.auditor = &auditor, .fault = &injector});
+
+    auto lib = deploy(2);
+    auto writer = make_rank(*lib, 1);
+    auto reader = make_rank(*lib, 2);
+    const VarDesc var{kField, {8, 16}, 0};
+    Slab source = Slab::synthetic(Box::whole(var.global), 3);
+
+    Status waited = Status::ok();
+    Status published = Status::ok();
+    engine.spawn([](sim::Engine& e, Rank& w, VarDesc v, Slab src,
+                    Status* out) -> sim::Task<> {
+      EXPECT_TRUE(ok(co_await w.client->init()));
+      EXPECT_TRUE(ok(co_await w.client->put(v, src)));
+      co_await e.sleep(1.0);  // publish only after the master died
+      *out = co_await w.client->publish(v);
+    }(engine, writer, var, source, &published));
+    engine.spawn([](Rank& r, VarDesc v, Status* out) -> sim::Task<> {
+      EXPECT_TRUE(ok(co_await r.client->init()));
+      // Parks on the version board long before the publish arrives; the
+      // crash watcher must wake it with the typed error.
+      *out = co_await r.client->wait_version(v.name, 0);
+    }(reader, var, &waited));
+    run_all();
+
+    EXPECT_EQ(waited.code(), ErrorCode::kConnectionFailed);
+    EXPECT_EQ(waited.message(),
+              noun + " server 0 crashed (no board replica left)");
+    EXPECT_EQ(published.code(), ErrorCode::kConnectionFailed) << published;
+    EXPECT_EQ(published.message(), noun + " server 0 crashed");
+
+    writer.client->finalize();
+    reader.client->finalize();
+    lib->shutdown();
+    engine.run();
+    EXPECT_TRUE(auditor.leaks().empty())
+        << "leaked: " << auditor.leaks().front();
+  }
+
+  static constexpr const char* kField = "field";
+
   sim::Engine engine;
   hpc::MachineConfig machine;
   hpc::Cluster cluster;
@@ -106,53 +217,18 @@ struct ReplDsFixture : ::testing::Test {
   net::RdmaTransport ugni;
 };
 
+using ReplDsFixture = ReplLibFixture<dataspaces::DataSpaces>;
+using ReplDimesFixture = ReplLibFixture<dimes::Dimes>;
+
 TEST_F(ReplDsFixture, CrashedPrimaryIsTransparentAndResilverRestoresCopies) {
-  // Factor 2 on four servers; the primary of region 0 dies after the data
-  // is staged. The read must succeed through the replica (a degraded read,
-  // not an error) and the background resilver must re-copy the dead
-  // server's objects onto surviving chain members.
-  Policy policy;
-  policy.factor = 2;
-  Coordinator coordinator(policy);
-  fault::Plan plan;
-  plan.server_crash = {0.5, 0};
-  fault::Injector injector(plan);
-  BindWorld bind({.fault = &injector, .repl = &coordinator});
+  crashed_primary_is_transparent(/*owner of region 0=*/0);
+}
 
-  auto ds = deploy(4);
-  auto writer = make_rank(*ds, 1);
-  auto reader = make_rank(*ds, 2);
-  const VarDesc var{"field", {16, 32}, 0};
-  Slab source = Slab::synthetic(Box::whole(var.global), 11);
-
-  engine.spawn([](Rank& w, VarDesc v, Slab src) -> sim::Task<> {
-    EXPECT_TRUE((co_await w.client->init()).is_ok());
-    EXPECT_TRUE((co_await w.client->put(v, src)).is_ok());
-    EXPECT_TRUE((co_await w.client->publish(v)).is_ok());
-  }(writer, var, source));
-  engine.spawn([](sim::Engine& e, Rank& r, VarDesc v, Slab src)
-                   -> sim::Task<> {
-    EXPECT_TRUE((co_await r.client->init()).is_ok());
-    EXPECT_TRUE((co_await r.client->wait_version(v.name, 0)).is_ok());
-    co_await e.sleep(1.0);  // read after the crash (and the resilver)
-    auto got = co_await r.client->get(v, Box::whole(v.global));
-    EXPECT_TRUE(got.has_value()) << got.status();
-    if (got.has_value()) {
-      EXPECT_DOUBLE_EQ(got->checksum(), src.checksum());
-    }
-  }(engine, reader, var, source));
-  run_all();
-
-  const Stats& stats = coordinator.stats();
-  EXPECT_GT(stats.replica_puts, 0u);     // puts wrote chain copies
-  EXPECT_EQ(stats.objects_lost, 0u);     // nothing became unreadable
-  EXPECT_GT(stats.degraded_gets, 0u);    // region 0 served past the corpse
-  EXPECT_GT(stats.resilver_copies, 0u);  // redundancy was rebuilt
-  EXPECT_EQ(stats.restores, 1u);
-  EXPECT_GE(stats.time_to_restore, 0.0);
-
-  ds->shutdown();
-  engine.run();
+TEST_F(ReplDimesFixture,
+       CrashedPrimaryIsTransparentAndResilverRestoresCopies) {
+  // DIMES anchors a variable's directory chain at hash(name) % ns.
+  crashed_primary_is_transparent(
+      static_cast<int>(std::hash<std::string>{}(kField) % 4));
 }
 
 TEST_F(ReplDsFixture, LosingEveryReplicaSurfacesTypedLossAndCountsIt) {
@@ -198,51 +274,11 @@ TEST_F(ReplDsFixture, LosingEveryReplicaSurfacesTypedLossAndCountsIt) {
 }
 
 TEST_F(ReplDsFixture, MasterCrashFailsParkedWaitersTypedWithCleanLedger) {
-  // Satellite 3: unreplicated master crash with a parked WaitVersion waiter
-  // and an in-flight Publish. Every waiter must fail with a typed error
-  // (not hang), the publisher must see the refusal, and teardown must leave
-  // a clean leak ledger.
-  audit::Auditor auditor;
-  fault::Plan plan;
-  plan.server_crash = {0.5, 0};
-  fault::Injector injector(plan);
-  BindWorld bind({.auditor = &auditor, .fault = &injector});
+  master_crash_fails_parked_waiters("staging");
+}
 
-  auto ds = deploy(2);
-  auto writer = make_rank(*ds, 1);
-  auto reader = make_rank(*ds, 2);
-  const VarDesc var{"field", {8, 16}, 0};
-  Slab source = Slab::synthetic(Box::whole(var.global), 3);
-
-  Status waited = Status::ok();
-  Status published = Status::ok();
-  engine.spawn([](sim::Engine& e, Rank& w, VarDesc v, Slab src,
-                  Status* out) -> sim::Task<> {
-    EXPECT_TRUE((co_await w.client->init()).is_ok());
-    EXPECT_TRUE((co_await w.client->put(v, src)).is_ok());
-    co_await e.sleep(1.0);  // publish only after the master died
-    *out = co_await w.client->publish(v);
-  }(engine, writer, var, source, &published));
-  engine.spawn([](Rank& r, VarDesc v, Status* out) -> sim::Task<> {
-    EXPECT_TRUE((co_await r.client->init()).is_ok());
-    // Parks on the version board long before the publish arrives; the
-    // crash watcher must wake it with the typed error.
-    *out = co_await r.client->wait_version(v.name, 0);
-  }(reader, var, &waited));
-  run_all();
-
-  EXPECT_EQ(waited.code(), ErrorCode::kConnectionFailed);
-  EXPECT_NE(waited.message().find("no board replica left"),
-            std::string::npos)
-      << waited;
-  EXPECT_EQ(published.code(), ErrorCode::kConnectionFailed) << published;
-
-  writer.client->finalize();
-  reader.client->finalize();
-  ds->shutdown();
-  engine.run();
-  EXPECT_TRUE(auditor.leaks().empty())
-      << "leaked: " << auditor.leaks().front();
+TEST_F(ReplDimesFixture, MasterCrashFailsParkedWaitersTypedWithCleanLedger) {
+  master_crash_fails_parked_waiters("metadata");
 }
 
 // --------------------------------------------------------- workflow ------

@@ -7,10 +7,10 @@
 //
 // Doubles are printed with 17 significant digits (exact round trip). The
 // trace digest is taken through a test sink at the default event cap, so
-// IMC_TRACE_EVENTS must be unset. On a mismatch the whole actual table is
-// written to workflow_runs.actual.txt in the working directory; a change
-// that moves simulated results on purpose re-records the golden file from
-// it.
+// IMC_TRACE_EVENTS must be unset. When a compared block differs from the
+// record, the whole actual table is written to workflow_runs.actual.txt in
+// the working directory; a change that moves simulated results on purpose
+// re-records the golden file from it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -183,11 +183,15 @@ TEST(WorkflowGolden, RunTableMatchesRecord) {
   ASSERT_TRUE(file.good()) << "missing " << IMC_GOLDEN_RUNS;
   std::stringstream expected_text;
   expected_text << file.rdbuf();
-  if (expected_text.str() != actual) {
-    std::ofstream("workflow_runs.actual.txt") << actual;
-  }
   const auto expected = blocks(expected_text.str());
   const auto got = blocks(actual);
+  bool differs = expected.size() != got.size();
+  for (const auto& name : names) {
+    auto it = expected.find(name);
+    differs = differs || it == expected.end() ||
+              comparable(it->second) != comparable(got.at(name));
+  }
+  if (differs) std::ofstream("workflow_runs.actual.txt") << actual;
   EXPECT_EQ(expected.size(), got.size());
   for (const auto& name : names) {
     auto it = expected.find(name);
