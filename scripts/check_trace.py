@@ -4,18 +4,14 @@
 Checks that a trace written via IMC_TRACE=<path> is well-formed: valid
 JSON, every traceEvent one of the phases the exporter emits (M metadata /
 X complete span / C counter) with integer non-negative ts/dur and pid/tid
-present, and an "imc" summary block carrying the schema tag, per-run
-digests, and the chain digest.
-
-The "imc"."meta" array (diagnostic wall-clock chunks: prof resource
-accounting, sweep-pool occupancy) is validated for well-formedness and for
-digest exclusion: meta entries must carry no digest field, and the chain
-digest must recompute exactly from the runs' digests alone — proof that no
-meta record leaks into the digest-bearing sections.
+present, and an "imc" summary block holding exactly the schema tag, the
+runs (each with a digest and a well-formed metrics map) and the chain
+digest, which must recompute from the runs' digests. A trace holds
+simulated time only; wall-clock data lives in imc::prof's own report
+(IMC_PROF=<path>), never here.
 
 Usage:
-  scripts/check_trace.py TRACE.json [--require CAT ...]
-                         [--require-meta LABEL ...] [--print-digest]
+  scripts/check_trace.py TRACE.json [--require CAT ...] [--print-digest]
 
 --require CAT fails unless at least one span carries that category (the
 span-name prefix before the first dot: fabric, ds, workflow, ...), a
@@ -23,8 +19,6 @@ counter does (mem gauges export as ph=C counters, not spans), or a run's
 aggregated metrics map does — the metrics maps fold every event, so a
 category whose spans land beyond the IMC_TRACE_EVENTS cap (e.g. repl
 resilver spans late in a long chaos run) still proves its presence there.
---require-meta LABEL fails unless a meta chunk with that label exists
-(e.g. `--require-meta prof` after an IMC_PROF run).
 --print-digest writes the chain digest to stdout for cheap shell diffs.
 """
 
@@ -90,6 +84,10 @@ def check_events(events):
 
 
 def check_imc_block(imc):
+    extra = sorted(set(imc) - {"schema", "runs", "digest"})
+    if extra:
+        return f"imc carries unexpected keys {extra}; a trace holds only " \
+               "schema, runs and digest"
     if imc.get("schema") != SCHEMA:
         return f"imc.schema is {imc.get('schema')!r}, want {SCHEMA!r}"
     digest = imc.get("digest")
@@ -105,6 +103,9 @@ def check_imc_block(imc):
             return f"imc.runs[{i}].digest missing or malformed"
         if "label" not in run or "metrics" not in run:
             return f"imc.runs[{i}] missing label/metrics"
+        error = check_metrics_map(run["metrics"], f"imc.runs[{i}]")
+        if error:
+            return error
     return None
 
 
@@ -123,64 +124,15 @@ def check_metrics_map(metrics, where):
     return None
 
 
-def check_meta_block(imc):
-    """Well-formedness of imc.meta plus the digest-exclusion proofs."""
-    meta = imc.get("meta")
-    if not isinstance(meta, list):
-        return "imc.meta missing (not a list)", []
-    labels = []
-    for i, chunk in enumerate(meta):
-        where = f"imc.meta[{i}]"
-        if not isinstance(chunk, dict):
-            return f"{where} is not an object", labels
-        label = chunk.get("label")
-        if not isinstance(label, str) or not label:
-            return f"{where}.label missing", labels
-        labels.append(label)
-        # Meta is outside every byte-identity contract: a digest (or the
-        # digest-adjacent dropped_events accounting) on a meta chunk means
-        # wall-clock data grew a fingerprint — exactly what must not happen.
-        for banned in ("digest", "dropped_events"):
-            if banned in chunk:
-                return f"{where} ({label!r}) carries a {banned!r} field; " \
-                       "meta chunks must stay digest-free", labels
-        error = check_metrics_map(chunk.get("metrics"), where)
-        if error:
-            return error, labels
-        if label == "prof":
-            error = check_prof_chunk(chunk, where)
-            if error:
-                return error, labels
-    return None, labels
-
-
-def check_prof_chunk(chunk, where):
-    """The prof block's shape: every metric is lane-qualified."""
-    metrics = chunk["metrics"]
-    if not metrics:
-        return f"{where}: prof chunk has no metrics"
-    for name in metrics:
-        if "/" not in name:
-            return f"{where}.metrics[{name!r}]: prof metrics must be " \
-                   "lane-qualified (\"<lane>/<stat>\")"
-    return None
-
-
 def check_digest_chain(imc):
-    """Recomputes the chain digest from the runs' digests alone.
-
-    A match proves the exported chain is a pure function of the
-    digest-bearing runs — no meta record (prof, sweep-pool occupancy)
-    leaks into it.
-    """
+    """Recomputes the chain digest from the runs' digests alone."""
     chain = fnv1a(SCHEMA)
     for run in imc["runs"]:
         chain = fnv1a(run["digest"], chain)
     expected = format(chain, "016x")
     if imc["digest"] != expected:
         return f"imc.digest {imc['digest']} does not recompute from the " \
-               f"runs' digests (want {expected}); a meta record leaked " \
-               "into the chain, or the runs were tampered with"
+               f"runs' digests (want {expected})"
     return None
 
 
@@ -190,10 +142,6 @@ def main():
     parser.add_argument("--require", action="append", default=[],
                         metavar="CAT",
                         help="fail unless a span with this category exists")
-    parser.add_argument("--require-meta", action="append", default=[],
-                        metavar="LABEL",
-                        help="fail unless a meta chunk with this label "
-                             "exists (e.g. prof)")
     parser.add_argument("--print-digest", action="store_true",
                         help="print the chain digest to stdout")
     args = parser.parse_args()
@@ -219,9 +167,6 @@ def main():
     error = check_imc_block(imc)
     if error:
         return fail(error)
-    error, meta_labels = check_meta_block(imc)
-    if error:
-        return fail(error)
     error = check_digest_chain(imc)
     if error:
         return fail(error)
@@ -235,16 +180,11 @@ def main():
     if missing:
         return fail(f"required span categories absent: {missing} "
                     f"(present: {sorted(categories)})")
-    missing_meta = sorted(set(args.require_meta) - set(meta_labels))
-    if missing_meta:
-        return fail(f"required meta chunks absent: {missing_meta} "
-                    f"(present: {sorted(meta_labels)})")
 
     if args.print_digest:
         print(imc["digest"])
     else:
         print(f"ok: {spans} spans, {len(imc['runs'])} runs, "
-              f"{len(meta_labels)} meta chunk(s), "
               f"categories {sorted(c for c in categories if c)}, "
               f"digest {imc['digest']}")
     return 0

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/env.h"
-
 namespace imc::audit {
 
 std::string_view to_string(Resource r) {
@@ -99,11 +97,6 @@ void Auditor::reset() {
 Auditor& detail::process_wide() {
   static Auditor auditor;
   return auditor;
-}
-
-bool runtime_enabled() {
-  static const bool enabled = env::flag_or_die("IMC_CHECK", true);
-  return enabled;
 }
 
 }  // namespace imc::audit

@@ -10,8 +10,7 @@
 // job charges its WorldContext's ledger, a direct workflow::run call its
 // own. With none bound, global() falls back to a process-wide auditor
 // (direct API use outside any run). All hooks compile to no-ops when the
-// IMC_CHECK CMake option is off, and become runtime no-ops when the
-// IMC_CHECK *environment variable* is set to 0.
+// IMC_CHECK CMake option is off; that is the one switch.
 #pragma once
 
 #include <array>
@@ -133,18 +132,13 @@ inline Auditor& global() {
   return bound != nullptr ? *bound : detail::process_wide();
 }
 
-// Runtime gate: IMC_CHECK=0 in the environment disables the (compiled-in)
-// instrumentation hooks; unset or IMC_CHECK=1 leaves them on. Parsed once
-// on first use; garbage values terminate with a clear error.
-bool runtime_enabled();
-
 // Guarded entry points — call these from instrumented code, never
 // Auditor methods directly, so the whole layer disappears under
 // -DIMC_CHECK=OFF.
 inline void acquire(Resource r, const std::string& owner,
                     std::uint64_t n = 1) {
 #if IMC_CHECK_ENABLED
-  if (runtime_enabled()) global().acquire(r, owner, n);
+  global().acquire(r, owner, n);
 #else
   (void)r;
   (void)owner;
@@ -155,7 +149,7 @@ inline void acquire(Resource r, const std::string& owner,
 inline void release(Resource r, const std::string& owner,
                     std::uint64_t n = 1) {
 #if IMC_CHECK_ENABLED
-  if (runtime_enabled()) global().release(r, owner, n);
+  global().release(r, owner, n);
 #else
   (void)r;
   (void)owner;
@@ -165,7 +159,7 @@ inline void release(Resource r, const std::string& owner,
 
 inline void acquire(Resource r, Owner& owner, std::uint64_t n = 1) {
 #if IMC_CHECK_ENABLED
-  if (runtime_enabled()) global().acquire(r, owner, n);
+  global().acquire(r, owner, n);
 #else
   (void)r;
   (void)owner;
@@ -175,7 +169,7 @@ inline void acquire(Resource r, Owner& owner, std::uint64_t n = 1) {
 
 inline void release(Resource r, Owner& owner, std::uint64_t n = 1) {
 #if IMC_CHECK_ENABLED
-  if (runtime_enabled()) global().release(r, owner, n);
+  global().release(r, owner, n);
 #else
   (void)r;
   (void)owner;
@@ -185,7 +179,7 @@ inline void release(Resource r, Owner& owner, std::uint64_t n = 1) {
 
 inline void violation(const std::string& what) {
 #if IMC_CHECK_ENABLED
-  if (runtime_enabled()) global().violation(what);
+  global().violation(what);
 #else
   (void)what;
 #endif

@@ -1,5 +1,5 @@
 // Hardened parsing for the IMC_* environment knobs (IMC_FULL_SCALE,
-// IMC_THREADS, IMC_CHECK, ...).
+// IMC_THREADS, IMC_TRACE, ...).
 //
 // The historical ad-hoc readers treated anything unexpected as unset
 // (`IMC_FULL_SCALE=yes` silently ran the small ladder), which makes a typo

@@ -125,7 +125,7 @@ struct Plan {
   bool any() const;
 };
 
-// Recovery bookkeeping; folded into workflow::RunResult::FaultStats.
+// Recovery bookkeeping; workflow::RunResult::FaultStats derives from it.
 struct Stats {
   std::uint64_t injected = 0;        // probabilistic faults that fired
   std::uint64_t retries = 0;         // backoff sleeps taken

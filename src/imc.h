@@ -22,7 +22,6 @@
 #include "lustre/lustre.h"          // the Lustre OST/MDS model
 #include "mem/memory.h"             // tagged memory accounting
 #include "mpi/comm.h"               // mini-MPI communicators
-#include "mpi/file.h"               // collective MPI-IO
 #include "ndarray/ndarray.h"        // boxes, decompositions, slabs
 #include "net/drc.h"                // the DRC credential service
 #include "net/fabric.h"             // Gemini / Aries interconnect model

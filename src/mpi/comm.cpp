@@ -1,7 +1,5 @@
 #include "mpi/comm.h"
 
-#include <algorithm>
-
 #include "trace/trace.h"
 
 namespace imc::mpi {
@@ -77,83 +75,6 @@ sim::Task<> Comm::barrier(int rank) {
     // status. imc-analyze: allow(discarded-result)
     (void)co_await recv(rank, (rank - dist + n) % n, tag);
   }
-}
-
-sim::Task<double> Comm::bcast(int rank, int root, double value,
-                              std::uint64_t bytes) {
-  // Standard binomial broadcast, valid for any n.
-  const int n = size();
-  const int tag = next_collective_tag(rank);
-  if (n == 1) co_return value;
-  const int rel = (rank - root + n) % n;
-  int mask = 1;
-  while (mask < n) {
-    if (rel & mask) {
-      Message m = co_await recv(rank, (rel - mask + root) % n, tag);
-      value = std::any_cast<double>(m.payload);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (rel + mask < n) {
-      co_await send(rank, (rel + mask + root) % n, tag, bytes, value);
-    }
-    mask >>= 1;
-  }
-  co_return value;
-}
-
-sim::Task<double> Comm::reduce_sum(int rank, int root, double value,
-                                   std::uint64_t bytes) {
-  // Mirror of the binomial broadcast: leaves push partials toward the root.
-  const int n = size();
-  const int tag = next_collective_tag(rank);
-  if (n == 1) co_return value;
-  const int rel = (rank - root + n) % n;
-  int mask = 1;
-  while (mask < n) {
-    if ((rel & mask) == 0) {
-      const int src = rel | mask;
-      if (src < n) {
-        Message m = co_await recv(rank, (src + root) % n, tag);
-        value += std::any_cast<double>(m.payload);
-      }
-    } else {
-      co_await send(rank, (rel - mask + root) % n, tag, bytes, value);
-      co_return 0.0;
-    }
-    mask <<= 1;
-  }
-  co_return value;
-}
-
-sim::Task<double> Comm::allreduce_sum(int rank, double value,
-                                      std::uint64_t bytes) {
-  const double total = co_await reduce_sum(rank, 0, value, bytes);
-  co_return co_await bcast(rank, 0, total, bytes);
-}
-
-sim::Task<std::vector<double>> Comm::gather(int rank, int root,
-                                            std::vector<double> local) {
-  const int n = size();
-  const int tag = next_collective_tag(rank);
-  if (rank != root) {
-    co_await send(rank, root, tag, local.size() * sizeof(double),
-                  std::move(local));
-    co_return std::vector<double>{};
-  }
-  std::vector<std::vector<double>> parts(static_cast<std::size_t>(n));
-  parts[static_cast<std::size_t>(root)] = std::move(local);
-  for (int i = 0; i < n - 1; ++i) {
-    Message m = co_await recv(rank, kAnySource, tag);
-    parts[static_cast<std::size_t>(m.source)] =
-        std::any_cast<std::vector<double>>(std::move(m.payload));
-  }
-  std::vector<double> out;
-  for (auto& p : parts) out.insert(out.end(), p.begin(), p.end());
-  co_return out;
 }
 
 }  // namespace imc::mpi

@@ -3,10 +3,10 @@
 // Decaf couples workflow components by wrapping them into one MPI
 // communicator, and both workflows' simulation/analytics internals are MPI
 // programs, so the study needs a real message-passing layer: eager
-// point-to-point with (source, tag) matching including wildcards, and
-// binomial-tree collectives whose traffic goes through the same fabric links
-// as everything else (collective cost therefore scales O(log n) with real
-// contention, not by formula).
+// point-to-point with (source, tag) matching including wildcards, and a
+// dissemination barrier whose traffic goes through the same fabric links as
+// everything else (its cost therefore scales O(log n) with real contention,
+// not by formula).
 //
 // Ranks are coroutines spawned by the caller; a Comm is shared state. All
 // operations take the calling rank explicitly (there is no thread-local
@@ -84,26 +84,9 @@ class Comm {
     return inboxes_[static_cast<std::size_t>(rank)].pending.size();
   }
 
-  // --- Collectives (binomial trees over send/recv, internal tag space) ---
+  // --- Barrier (dissemination rounds over send/recv, internal tags) ---
 
   sim::Task<> barrier(int rank);
-
-  // Broadcasts `value` (meaningful at root) of wire size `bytes`; every rank
-  // returns the root's value.
-  sim::Task<double> bcast(int rank, int root, double value,
-                          std::uint64_t bytes = sizeof(double));
-
-  // Sum-reduction to root; non-root ranks return 0.
-  sim::Task<double> reduce_sum(int rank, int root, double value,
-                               std::uint64_t bytes = sizeof(double));
-
-  sim::Task<double> allreduce_sum(int rank, double value,
-                                  std::uint64_t bytes = sizeof(double));
-
-  // Gathers per-rank vectors at root (rank order); non-root ranks return an
-  // empty vector.
-  sim::Task<std::vector<double>> gather(int rank, int root,
-                                        std::vector<double> local);
 
  private:
   struct Waiter {

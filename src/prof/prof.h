@@ -11,13 +11,12 @@
 //
 // The determinism contracts survive because prof data is strictly
 // digest-excluded: nothing recorded here ever reaches stdout, a trace
-// Recorder, a RunChunk digest, or an engine digest. Exports go through the
-// two channels that are outside every byte-identity contract — the trace
-// Sink's add_meta() side channel (rendered as an "imc"."meta" block whose
-// content the chain digest deliberately ignores) and a standalone JSON
-// report written at process exit when IMC_PROF=<path> is set.
+// file, a RunChunk digest, or an engine digest. The one export is a
+// standalone JSON report (schema imc-prof-v1) written at process exit
+// when IMC_PROF=<path> is set; it is outside every byte-identity contract.
 //
-// Shape (mirrors imc::trace):
+// Shape (mirrors imc::trace, and shares its trace::Stat fold, stats JSON
+// and file writer):
 //   - Meter: one lane of harness work (a sweep worker, the pool's caller
 //     thread, the sequential path). Aggregates named phase timings
 //     (histograms), counters, and sampled levels. Not thread-safe; owned
@@ -84,10 +83,9 @@ Rusage read_rusage();
 // sim::Engine::now().
 double wall_seconds();
 
-// One lane of harness work. Stats reuse trace::Stat so the meta-chunk
-// export is a direct translation: kind 'h' = phase timing histogram
-// (seconds), 'c' = monotonic counter, 'g' = sampled level (min/max/last
-// meaningful, e.g. arena high-water marks).
+// One lane of harness work, folded with trace::Stat: kind 'h' = phase
+// timing histogram (seconds), 'c' = monotonic counter, 'g' = sampled level
+// (min/max/last meaningful, e.g. arena high-water marks).
 class Meter {
  public:
   explicit Meter(std::string lane) : lane_(std::move(lane)) {}
@@ -96,18 +94,19 @@ class Meter {
 
   const std::string& lane() const { return lane_; }
 
-  void timing(const char* name, double seconds) { bump(name, 'h', seconds); }
-  void count(const char* name, double n = 1.0) { bump(name, 'c', n); }
-  void sample(const char* name, double v) { bump(name, 'g', v); }
+  void timing(const char* name, double seconds) { add(name, 'h', seconds); }
+  void count(const char* name, double n = 1.0) { add(name, 'c', n); }
+  void sample(const char* name, double v) { add(name, 'g', v); }
 
   bool empty() const { return stats_.empty(); }
-  const std::map<std::string, trace::Stat>& stats() const { return stats_; }
+  const trace::StatMap& stats() const { return stats_; }
 
  private:
-  void bump(const char* name, char kind, double v);
+  // Out of line, so a Timer's inlined stop() stays a branch and a call.
+  void add(const char* name, char kind, double v);
 
   std::string lane_;
-  std::map<std::string, trace::Stat> stats_;
+  trace::StatMap stats_;
 };
 
 // The meter for the current lane, or nullptr (profiling off / not a lane).
@@ -189,29 +188,21 @@ class Collector {
 
   std::size_t lane_count() const;
   // Snapshot for tests and exporters: lane -> name -> stat.
-  std::map<std::string, std::map<std::string, trace::Stat>> lanes() const;
+  std::map<std::string, trace::StatMap> lanes() const;
 
   // Standalone JSON report: schema, host block, rusage, process-wide log
   // flush counters, and every lane's stats. Deterministic field order;
   // values are wall-clock and therefore outside every digest contract.
   std::string to_json() const;
-  // Renders the lanes as a metrics-only trace::RunChunk labeled "prof"
-  // (metric names "<lane>/<stat>"), for Sink::add_meta — the digest field
-  // stays 0 and the sink's chain digest never sees it.
-  trace::RunChunk to_meta_chunk() const;
-  // Writes to_json() to `path`; returns false (with a log warning) on I/O
-  // failure.
-  bool write_file(const std::string& path) const;
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, std::map<std::string, trace::Stat>> lanes_;
+  std::map<std::string, trace::StatMap> lanes_;
 };
 
 // The installed collector, or nullptr when profiling is off. First call
 // parses IMC_PROF (dies on garbage via env::str_or_die); an env-installed
-// collector writes its report — and folds a "prof" meta chunk into the
-// trace sink, when one is installed — at process exit.
+// collector writes its report at process exit.
 Collector* global_collector();
 // Test hook: overrides the env collector (nullptr restores it). Returns
 // the previous override.

@@ -59,7 +59,7 @@ struct Policy {
   bool replicated() const { return factor > 1; }
 };
 
-// Durability bookkeeping; folded into workflow::RunResult::ReplStats.
+// Durability bookkeeping; workflow::RunResult::ReplStats derives from it.
 struct Stats {
   std::uint64_t replica_puts = 0;      // replica copies written beyond the
                                        // first ack (sync, async, resilver)

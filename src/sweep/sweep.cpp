@@ -1,9 +1,7 @@
 #include "sweep/sweep.h"
 
 #include <atomic>
-#include <chrono>
 #include <exception>
-#include <memory>
 #include <string>
 #include <thread>
 
@@ -14,31 +12,38 @@
 namespace imc::sweep {
 namespace {
 
-// IMC_TRACE_SWEEP=1 publishes wall-clock worker-occupancy spans (sweep.job
-// / sweep.idle) into the trace sink as a meta chunk. Off by default: the
-// spans are wall-clock by nature (they describe the host pool, not any
-// simulated world) and therefore live outside the byte-identity contracts.
-bool occupancy_spans_enabled() {
-  static const bool value =
-      env::int_or_die("IMC_TRACE_SWEEP", 0, 0, 1) == 1;
-  return value;
-}
+// One prof lane of the pool (the sequential path, the caller, a worker):
+// while it lives, its meter is the current World's meter when profiling is
+// on, and when it ends the meter folds into the collector. Timers declared
+// after it record into it before the fold.
+class Lane {
+ public:
+  Lane(bool on, std::string name)
+      : on_(on), meter_(std::move(name)), bind_(bound(on, &meter_)) {}
+  ~Lane() {
+    if (on_) prof::global_collector()->fold(meter_);
+  }
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
 
-// Wall-clock seconds since `origin`. Confined to the occupancy-span
-// diagnostics; simulated-world timestamps must come from sim::Engine.
-double seconds_since(
-    std::chrono::steady_clock::time_point origin) {  // imc-analyze: allow(wall-clock)
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now() - origin)  // imc-analyze: allow(wall-clock)
-      .count();
-}
+ private:
+  static World bound(bool on, prof::Meter* meter) {
+    World w = world();
+    if (on) w.meter = meter;
+    return w;
+  }
+
+  bool on_;
+  prof::Meter meter_;
+  BindWorld bind_;
+};
 
 // Resource accounting for one finished job, attributed to the worker's
 // prof lane. Arena counters are cumulative across a reused context, so the
 // caller snapshots them before the job and the deltas land here; log/trace
 // figures come straight from the retained captures. Wall-clock-free, but
 // still prof-only: nothing recorded here may reach a digest (DESIGN.md
-// §14), which is exactly what the prof meta channel guarantees.
+// §14), and prof's report is outside every digest.
 void note_world_stats(prof::Meter& m, const arena::Arena& arena,
                       std::uint64_t allocations0, std::uint64_t pool_hits0,
                       std::uint64_t heap_fallbacks0, const LogText& logs,
@@ -136,16 +141,8 @@ void Pool::run_indexed(std::size_t n,
     // context; each job's log flushes as soon as it finishes, trace chunks
     // emit in order, exceptions propagate immediately (after flushing).
     WorldContext context;
-    prof::Meter meter("sequential");
-    World lane = world();
-    if (prof_on) lane.meter = &meter;
-    BindWorld bind(lane);
-    const double lane_start = prof_on ? prof::wall_seconds() : 0.0;
-    auto fold_lane = [&meter, prof_on, lane_start] {
-      if (!prof_on) return;
-      meter.timing("worker.span", prof::wall_seconds() - lane_start);
-      prof::global_collector()->fold(meter);
-    };
+    Lane lane(prof_on, "sequential");
+    PROF_TIMER("worker.span");
     for (std::size_t i = 0; i < n; ++i) {
       prof::Timer run_timer = prof::timer("job.run");
       try {
@@ -153,14 +150,12 @@ void Pool::run_indexed(std::size_t n,
       } catch (...) {
         run_timer.stop();
         flush_job(context.take_logs(), context.take_chunks());
-        fold_lane();
         throw;
       }
       run_timer.stop();
       prof::count("jobs");
       flush_job(context.take_logs(), context.take_chunks());
     }
-    fold_lane();
     return;
   }
 
@@ -170,63 +165,27 @@ void Pool::run_indexed(std::size_t n,
   std::atomic<std::size_t> next{0};
   std::atomic<bool> abort{false};
 
-  // Optional worker-occupancy diagnostics (see occupancy_spans_enabled).
-  const bool spans_on = occupancy_spans_enabled() && trace::enabled();
-  std::vector<std::vector<trace::SpanEvent>> worker_spans(width);
-  const auto origin = std::chrono::steady_clock::now();  // imc-analyze: allow(wall-clock)
-
   // The caller's own lane: dispatch cost, join wait (which is the whole
   // sweep's wall time from this thread's perspective), and the ordered
   // result-flush cost — the part the 0.58× scaling investigation needs to
-  // separate from worker idle time. Meters live out here so they survive
-  // the workers and fold after the join.
-  prof::Meter caller_meter("caller");
-  World caller_lane = world();
-  if (prof_on) caller_lane.meter = &caller_meter;
-  BindWorld bind_caller(caller_lane);
-  std::vector<std::unique_ptr<prof::Meter>> worker_meters;
-  if (prof_on) {
-    caller_meter.sample("pool.width", static_cast<double>(width));
-    worker_meters.reserve(width);
-    for (std::size_t w = 0; w < width; ++w) {
-      worker_meters.push_back(
-          std::make_unique<prof::Meter>("worker" + std::to_string(w)));
-    }
-  }
+  // separate from worker idle time.
+  Lane caller(prof_on, "caller");
+  prof::sample("pool.width", static_cast<double>(width));
 
-  auto work = [&logs, &chunks, &errors, &next, &abort, &fn, n, spans_on,
-               &worker_spans, origin, prof_on,
-               &worker_meters](std::size_t w) {
+  auto work = [&logs, &chunks, &errors, &next, &abort, &fn, n,
+               prof_on](std::size_t w) {
     // One reusable world per worker: auditor ledgers, arena chunks, and
-    // capture buffers are recruited once and rebound per job.
+    // capture buffers are recruited once and rebound per job. The lane
+    // times the worker's life and the idle gap before each job and after
+    // the last.
     WorldContext context;
-    World lane = world();
-    if (prof_on) lane.meter = worker_meters[w].get();
-    BindWorld bind(lane);
-    std::vector<trace::SpanEvent>& spans = worker_spans[w];
-    double idle_since = spans_on ? seconds_since(origin) : 0.0;
-    double lane_start = 0.0;
-    double idle_mark = 0.0;
-    if (prof_on) {
-      lane_start = prof::wall_seconds();
-      idle_mark = lane_start;
-    }
+    Lane lane(prof_on, "worker" + std::to_string(w));
+    PROF_TIMER("worker.span");
     for (;;) {
+      prof::Timer idle_timer = prof::timer("idle");
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      if (abort.load(std::memory_order_acquire)) break;
-      if (spans_on) {
-        const double now = seconds_since(origin);
-        if (now > idle_since) {
-          spans.push_back(trace::SpanEvent{
-              "sweep.idle", trace::Track{-1, static_cast<int>(w) + 1},
-              idle_since, now, {}});
-        }
-        idle_since = now;
-      }
-      if (prof_on) {
-        worker_meters[w]->timing("idle", prof::wall_seconds() - idle_mark);
-      }
+      if (i >= n || abort.load(std::memory_order_acquire)) break;
+      idle_timer.stop();
       prof::Timer run_timer = prof::timer("job.run");
       try {
         context.run([&fn, i] { fn(i); });
@@ -238,19 +197,6 @@ void Pool::run_indexed(std::size_t n,
       prof::count("jobs");
       logs[i] = context.take_logs();
       chunks[i] = context.take_chunks();
-      if (prof_on) idle_mark = prof::wall_seconds();
-      if (spans_on) {
-        const double now = seconds_since(origin);
-        spans.push_back(trace::SpanEvent{
-            "sweep.job", trace::Track{-1, static_cast<int>(w) + 1},
-            idle_since, now,
-            {{"job", static_cast<double>(i)}}});
-        idle_since = now;
-      }
-    }
-    if (prof_on) {
-      worker_meters[w]->timing("worker.span",
-                               prof::wall_seconds() - lane_start);
     }
   };
 
@@ -266,19 +212,6 @@ void Pool::run_indexed(std::size_t n,
   for (auto& worker : workers) worker.join();
   join_timer.stop();
 
-  if (spans_on) {
-    trace::RunChunk occupancy;
-    occupancy.label = "sweep-pool";
-    for (std::vector<trace::SpanEvent>& spans : worker_spans) {
-      for (trace::SpanEvent& span : spans) {
-        occupancy.spans.push_back(std::move(span));
-      }
-    }
-    if (!occupancy.spans.empty()) {
-      trace::global_sink()->add_meta(std::move(occupancy));
-    }
-  }
-
   // Flush per-job captures in submission order so log bytes and trace
   // chunks land identically at every worker count.
   {
@@ -286,11 +219,6 @@ void Pool::run_indexed(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) {
       flush_job(logs[i], std::move(chunks[i]));
     }
-  }
-  if (prof_on) {
-    prof::Collector* collector = prof::global_collector();
-    for (const auto& meter : worker_meters) collector->fold(*meter);
-    collector->fold(caller_meter);
   }
   for (auto& error : errors) {
     if (error) std::rethrow_exception(error);

@@ -3,10 +3,8 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 
-#include "common/env.h"
 #include "common/log.h"
 
 namespace imc::trace {
@@ -66,6 +64,22 @@ void append_args_json(std::string* out,
   out->append("}");
 }
 
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
+  return buf;
+}
+
+// The sink's chain digest: the schema tag, then each chunk's digest in hex,
+// in arrival order.
+std::uint64_t chain_digest(const std::vector<RunChunk>& chunks) {
+  std::uint64_t digest = fnv1a("imc-trace-v1");
+  for (const RunChunk& chunk : chunks) {
+    digest = fnv1a(hex(chunk.digest), digest);
+  }
+  return digest;
+}
+
 }  // namespace
 
 std::string format_number(double v) {
@@ -87,6 +101,43 @@ std::uint64_t fnv1a(const std::string& text, std::uint64_t seed) {
   return hash;
 }
 
+void append_stats_json(std::string* out, const StatMap& stats) {
+  out->append("{");
+  bool first = true;
+  for (const auto& [name, stat] : stats) {
+    if (!first) out->append(",");
+    first = false;
+    out->append("\n\"");
+    out->append(json_escape(name));
+    out->append("\":{\"kind\":\"");
+    out->push_back(stat.kind);
+    out->append("\",\"count\":");
+    out->append(format_number(static_cast<double>(stat.count)));
+    out->append(",\"sum\":");
+    out->append(format_number(stat.sum));
+    out->append(",\"min\":");
+    out->append(format_number(stat.min));
+    out->append(",\"max\":");
+    out->append(format_number(stat.max));
+    out->append(",\"last\":");
+    out->append(format_number(stat.last));
+    out->append("}");
+  }
+  out->append("}");
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    IMC_WARN() << "cannot open " << path << " for writing";
+    return;
+  }
+  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  if (std::fclose(f) != 0 || written != text.size()) {
+    IMC_WARN() << "short write to " << path;
+  }
+}
+
 // --- Recorder -----------------------------------------------------------
 
 Recorder::Recorder(const sim::Engine& engine, std::string label,
@@ -94,7 +145,7 @@ Recorder::Recorder(const sim::Engine& engine, std::string label,
     : engine_(&engine), label_(std::move(label)), event_limit_(event_limit) {}
 
 void Recorder::record_span(SpanEvent event, bool pinned) {
-  bump("span." + event.name, 'h', event.end - event.start);
+  metrics_["span." + event.name].add('h', event.end - event.start);
   if (pinned) {
     pinned_spans_.push_back(std::move(event));
     return;
@@ -107,11 +158,11 @@ void Recorder::record_span(SpanEvent event, bool pinned) {
 }
 
 void Recorder::count(const std::string& name, double n) {
-  bump(name, 'c', n);
+  metrics_[name].add('c', n);
 }
 
 void Recorder::gauge(const std::string& name, Track track, double v) {
-  bump(name, 'g', v);
+  metrics_[name].add('g', v);
   if (spans_.size() + counters_.size() >= event_limit_) {
     ++dropped_events_;
     return;
@@ -120,23 +171,7 @@ void Recorder::gauge(const std::string& name, Track track, double v) {
 }
 
 void Recorder::value(const std::string& name, double v) {
-  bump(name, 'h', v);
-}
-
-void Recorder::bump(const std::string& name, char kind, double v) {
-  auto [it, inserted] = metrics_.try_emplace(name);
-  Stat& stat = it->second;
-  if (inserted) {
-    stat.kind = kind;
-    stat.min = v;
-    stat.max = v;
-  } else {
-    if (v < stat.min) stat.min = v;
-    if (v > stat.max) stat.max = v;
-  }
-  ++stat.count;
-  stat.sum += v;
-  stat.last = v;
+  metrics_[name].add('h', v);
 }
 
 RunChunk Recorder::take_chunk() {
@@ -144,7 +179,8 @@ RunChunk Recorder::take_chunk() {
   chunk.label = std::move(label_);
   chunk.dropped_events = dropped_events_;
   if (dropped_events_ > 0) {
-    bump("trace.dropped_events", 'c', static_cast<double>(dropped_events_));
+    metrics_["trace.dropped_events"].add(
+        'c', static_cast<double>(dropped_events_));
   }
   // Pinned spans (workflow phases) lead so the run skeleton survives any
   // truncation and sits first in the exported stream.
@@ -232,25 +268,9 @@ void Sink::add(RunChunk chunk) {
   chunks_.push_back(std::move(chunk));
 }
 
-void Sink::add_meta(RunChunk chunk) {
-  std::lock_guard<std::mutex> lock(mu_);
-  meta_.push_back(std::move(chunk));
-}
-
-std::size_t Sink::meta_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return meta_.size();
-}
-
 std::uint64_t Sink::digest() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t digest = fnv1a("imc-trace-v1");
-  for (const RunChunk& chunk : chunks_) {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, chunk.digest);
-    digest = fnv1a(buf, digest);
-  }
-  return digest;
+  return chain_digest(chunks_);
 }
 
 std::size_t Sink::size() const {
@@ -340,178 +360,33 @@ std::string Sink::to_json() const {
     }
   }
 
-  // Meta chunks (diagnostic wall-clock data, e.g. sweep-pool worker
-  // occupancy): rendered into the timeline after every run's pid window but
-  // deliberately absent from the "imc" block and the digest chain — their
-  // content is not covered by any determinism contract.
-  for (std::size_t m = 0; m < meta_.size(); ++m) {
-    const RunChunk& chunk = meta_[m];
-    const std::size_t slot = chunks_.size() + m;
-    std::set<int> tids;
-    for (const SpanEvent& event : chunk.spans) tids.insert(event.track.tid);
-    {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "{\"ph\":\"M\",\"pid\":%lld,\"tid\":0,\"name\":"
-                    "\"process_name\",\"args\":{\"name\":\"%s\"}}",
-                    export_pid(slot, -1), json_escape(chunk.label).c_str());
-      emit(buf);
-    }
-    for (const int tid : tids) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "{\"ph\":\"M\",\"pid\":%lld,\"tid\":%d,\"name\":"
-                    "\"thread_name\",\"args\":{\"name\":\"worker %d\"}}",
-                    export_pid(slot, -1), tid, tid);
-      emit(buf);
-    }
-    for (const SpanEvent& event : chunk.spans) {
-      const long long ts = to_micros(event.start);
-      const long long dur = to_micros(event.end) - ts;
-      std::string line = "{\"ph\":\"X\",\"pid\":";
-      line += std::to_string(export_pid(slot, -1));
-      line += ",\"tid\":";
-      line += std::to_string(event.track.tid);
-      line += ",\"ts\":";
-      line += std::to_string(ts);
-      line += ",\"dur\":";
-      line += std::to_string(dur);
-      line += ",\"name\":\"";
-      line += json_escape(event.name);
-      line += "\",\"cat\":\"";
-      const std::size_t dot = event.name.find('.');
-      line += json_escape(dot == std::string::npos ? event.name
-                                                   : event.name.substr(0, dot));
-      line += "\",\"args\":";
-      append_args_json(&line, event.args);
-      line += "}";
-      emit(line);
-    }
-  }
-
   // "imc" block: per-run metrics plus the chain digest — the part tests and
   // scripts/check_trace.py diff byte-for-byte.
-  auto append_metrics = [&out](const std::map<std::string, Stat>& metrics) {
-    bool first_metric = true;
-    for (const auto& [name, stat] : metrics) {
-      if (!first_metric) out.append(",");
-      first_metric = false;
-      out.append("\n\"");
-      out.append(json_escape(name));
-      out.append("\":{\"kind\":\"");
-      out.push_back(stat.kind);
-      out.append("\",\"count\":");
-      out.append(format_number(static_cast<double>(stat.count)));
-      out.append(",\"sum\":");
-      out.append(format_number(stat.sum));
-      out.append(",\"min\":");
-      out.append(format_number(stat.min));
-      out.append(",\"max\":");
-      out.append(format_number(stat.max));
-      out.append(",\"last\":");
-      out.append(format_number(stat.last));
-      out.append("}");
-    }
-  };
   out.append("],\n\"imc\":{\"schema\":\"imc-trace-v1\",\"runs\":[");
   for (std::size_t run = 0; run < chunks_.size(); ++run) {
     const RunChunk& chunk = chunks_[run];
     if (run != 0) out.append(",");
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, chunk.digest);
     out.append("\n{\"label\":\"");
     out.append(json_escape(chunk.label));
     out.append("\",\"digest\":\"");
-    out.append(buf);
+    out.append(hex(chunk.digest));
     out.append("\",\"dropped_events\":");
     out.append(format_number(static_cast<double>(chunk.dropped_events)));
-    out.append(",\"metrics\":{");
-    append_metrics(chunk.metrics);
-    out.append("}}");
+    out.append(",\"metrics\":");
+    append_stats_json(&out, chunk.metrics);
+    out.append("}");
   }
-  // "meta" array: diagnostic chunks (prof resource accounting, sweep-pool
-  // occupancy). Deliberately carries no digest field, and the chain digest
-  // below folds only the runs above — wall-clock data must never gain a
-  // byte-identity contract by accident (DESIGN.md §14).
-  out.append("],\"meta\":[");
-  for (std::size_t m = 0; m < meta_.size(); ++m) {
-    const RunChunk& chunk = meta_[m];
-    if (m != 0) out.append(",");
-    out.append("\n{\"label\":\"");
-    out.append(json_escape(chunk.label));
-    out.append("\",\"metrics\":{");
-    append_metrics(chunk.metrics);
-    out.append("}}");
-  }
-  {
-    std::uint64_t chain = fnv1a("imc-trace-v1");
-    for (const RunChunk& chunk : chunks_) {
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%016" PRIx64, chunk.digest);
-      chain = fnv1a(buf, chain);
-    }
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, chain);
-    out.append("],\"digest\":\"");
-    out.append(buf);
-    out.append("\"}}\n");
-  }
+  out.append("],\"digest\":\"");
+  out.append(hex(chain_digest(chunks_)));
+  out.append("\"}}\n");
   return out;
-}
-
-bool Sink::write_file(const std::string& path) const {
-  const std::string json = to_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    IMC_WARN() << "trace: cannot open " << path << " for writing";
-    return false;
-  }
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = written == json.size() && std::fclose(f) == 0;
-  if (!ok) IMC_WARN() << "trace: short write to " << path;
-  return ok;
 }
 
 // --- Global sink / env gates --------------------------------------------
 
-namespace {
+Sink* global_sink() { return EnvInstalled<Sink>::get("IMC_TRACE"); }
 
-// Env-installed sink state. Parsed once; the sink (when IMC_TRACE is set)
-// writes its JSON at process exit.
-Sink* g_env_sink = nullptr;
-std::string* g_env_path = nullptr;
-Sink* g_override_sink = nullptr;
-std::once_flag g_env_once;
-
-void write_env_sink_at_exit() {
-  if (g_env_sink != nullptr && g_env_path != nullptr) {
-    g_env_sink->write_file(*g_env_path);
-  }
-}
-
-void init_env_sink() {
-  const std::string path = env::str_or_die("IMC_TRACE", "");
-  if (path.empty()) return;
-  // Deliberately leaked: the sink must outlive every static destructor that
-  // might still record, and the process is exiting anyway.
-  g_env_path = new std::string(path);
-  g_env_sink = new Sink();
-  std::atexit(write_env_sink_at_exit);
-}
-
-}  // namespace
-
-Sink* global_sink() {
-  std::call_once(g_env_once, init_env_sink);
-  if (g_override_sink != nullptr) return g_override_sink;
-  return g_env_sink;
-}
-
-Sink* set_global_sink(Sink* sink) {
-  Sink* previous = g_override_sink;
-  g_override_sink = sink;
-  return previous;
-}
+Sink* set_global_sink(Sink* sink) { return EnvInstalled<Sink>::set(sink); }
 
 std::size_t event_limit() {
   static const std::size_t limit = static_cast<std::size_t>(

@@ -2,12 +2,13 @@
 //
 // Every event is stamped with sim::Engine::now() — never the wall clock —
 // so a trace is a pure function of the scenario: byte-identical across
-// IMC_THREADS settings and replays. A trace::Recorder belongs to exactly
-// one world (one Engine); workflow::run binds one per run as the current
-// World's recorder (common/world.h), so sweeps at IMC_THREADS>1 attribute
-// events to the right run.
+// IMC_THREADS settings, replays, and IMC_PROF on or off. Wall-clock data
+// never enters a trace file; it goes to imc::prof's own report. A
+// trace::Recorder belongs to exactly one world (one Engine); workflow::run
+// binds one per run as the current World's recorder (common/world.h), so
+// sweeps at IMC_THREADS>1 attribute events to the right run.
 //
-// Three primitives:
+// Four primitives:
 //   - spans:      RAII intervals (trace::span / TRACE_SPAN) with numeric args
 //   - counters:   monotonic totals (trace::count)
 //   - gauges:     sampled levels, e.g. per-process memory (trace::gauge)
@@ -26,10 +27,12 @@
 // canonical metrics serialization + an FNV-1a digest). Chunks land in the
 // current World's chunk capture so sweep::Pool can flush them in
 // submission order; the Sink digest is therefore independent of worker
-// count.
+// count. imc::prof folds its wall-clock lanes with the same Stat and
+// writes them with the same stats JSON and file writer.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,6 +40,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.h"
 #include "common/world.h"
 #include "sim/engine.h"
 
@@ -80,7 +84,37 @@ struct Stat {
   double min = 0.0;
   double max = 0.0;
   double last = 0.0;
+
+  // Folds in one sample; the first sets the kind and seeds min and max.
+  void add(char sample_kind, double v) {
+    if (count == 0) {
+      kind = sample_kind;
+      min = v;
+      max = v;
+    } else {
+      if (v < min) min = v;
+      if (v > max) max = v;
+    }
+    ++count;
+    sum += v;
+    last = v;
+  }
+  // Folds in another aggregate of the same metric: counts and sums add,
+  // min of mins, max of maxes, `last` from `other`. An empty stat takes
+  // `other` whole, kind included.
+  void merge(const Stat& other) {
+    if (count == 0) {
+      *this = other;
+      return;
+    }
+    if (other.min < min) min = other.min;
+    if (other.max > max) max = other.max;
+    count += other.count;
+    sum += other.sum;
+    last = other.last;
+  }
 };
+using StatMap = std::map<std::string, Stat>;
 
 // Everything one run contributes to the Sink. `metrics_text` is the
 // canonical serialization the digest covers; keeping it as text makes the
@@ -89,7 +123,7 @@ struct RunChunk {
   std::string label;
   std::vector<SpanEvent> spans;
   std::vector<CounterEvent> counters;
-  std::map<std::string, Stat> metrics;
+  StatMap metrics;
   std::string metrics_text;
   std::uint64_t digest = 0;
   std::uint64_t dropped_events = 0;
@@ -122,15 +156,13 @@ class Recorder {
   RunChunk take_chunk();
 
  private:
-  void bump(const std::string& name, char kind, double v);
-
   const sim::Engine* engine_;
   std::string label_;
   std::size_t event_limit_;
   std::vector<SpanEvent> spans_;
   std::vector<SpanEvent> pinned_spans_;
   std::vector<CounterEvent> counters_;
-  std::map<std::string, Stat> metrics_;
+  StatMap metrics_;
   std::uint64_t dropped_events_ = 0;
 };
 
@@ -232,37 +264,24 @@ inline void value(const char* name, double v) {
 // --- Sink: cross-run collection and export ------------------------------
 
 // Collects RunChunks (thread-safe) and renders them as Chrome/Perfetto
-// trace_event JSON plus an "imc" metadata block with per-run metrics. The
-// sink digest folds chunk digests in arrival order, which sweep::Pool pins
-// to submission order.
+// trace_event JSON plus an "imc" block with the schema tag, per-run metrics
+// and digests, and the chain digest. The chain folds chunk digests in
+// arrival order, which sweep::Pool pins to submission order.
 class Sink {
  public:
   void add(RunChunk chunk);
-  // Diagnostic chunks outside the determinism contract: spans render into
-  // the exported timeline (own pid namespace, after every run) and metrics
-  // into the "imc"."meta" array, but both are excluded from digest() and
-  // the digest-bearing "imc"."runs" block. sweep::Pool uses this for its
-  // wall-clock worker-occupancy spans (IMC_TRACE_SWEEP=1) and imc::prof
-  // for its resource-accounting block ("prof"), both of which by nature
-  // differ across thread counts and runs.
-  void add_meta(RunChunk chunk);
   std::uint64_t digest() const;
   std::size_t size() const;
-  std::size_t meta_size() const;
   std::string to_json() const;
-  // Writes to_json() to `path`; returns false (with a log warning) on I/O
-  // failure.
-  bool write_file(const std::string& path) const;
 
  private:
   mutable std::mutex mu_;
   std::vector<RunChunk> chunks_;
-  std::vector<RunChunk> meta_;
 };
 
 // The installed sink, or nullptr when tracing is off. First call parses
-// IMC_TRACE / IMC_TRACE_EVENTS (dies on garbage); an env-installed sink
-// writes its JSON at process exit.
+// IMC_TRACE (dies on garbage); an env-installed sink writes its JSON at
+// process exit.
 Sink* global_sink();
 // Test hook: overrides the env sink (nullptr restores it). Returns the
 // previous override.
@@ -288,5 +307,41 @@ std::uint64_t fnv1a(const std::string& text,
                     std::uint64_t seed = 1469598103934665603ULL);
 // `s` escaped for a JSON string literal (quote, backslash, control bytes).
 std::string json_escape(const std::string& s);
+// Appends `stats` as a JSON object, one "name":{kind,count,sum,min,max,
+// last} member per line, in name order. The trace's per-run metrics and
+// prof's lanes share it.
+void append_stats_json(std::string* out, const StatMap& stats);
+// Writes `text` to `path`, with a log warning on I/O failure.
+void write_file(const std::string& path, const std::string& text);
+
+// --- Env-installed exporters ---------------------------------------------
+
+// The process-wide exporter of type T (the trace Sink, the prof Collector).
+// The first get() reads environment variable `var` (a path; dies on
+// garbage); when it is set, a T is created and its to_json() is written to
+// that path at process exit. The T is deliberately leaked: it must outlive
+// every static destructor that might still record. set() installs a test
+// override (nullptr restores the env instance) and returns the previous one.
+template <typename T>
+class EnvInstalled {
+ public:
+  static T* get(const char* var) {
+    static T* const installed = [var]() -> T* {
+      const std::string path = env::str_or_die(var, "");
+      if (path.empty()) return nullptr;
+      path_ = new std::string(path);
+      env_ = new T();
+      std::atexit([] { write_file(*path_, env_->to_json()); });
+      return env_;
+    }();
+    return override_ != nullptr ? override_ : installed;
+  }
+  static T* set(T* t) { return std::exchange(override_, t); }
+
+ private:
+  inline static std::string* path_ = nullptr;
+  inline static T* env_ = nullptr;
+  inline static T* override_ = nullptr;
+};
 
 }  // namespace imc::trace

@@ -884,12 +884,7 @@ RunResult run(const Spec& spec) {
 
   if (injector) {
     const fault::Stats& fs = injector->stats();
-    result.fault.injected = fs.injected;
-    result.fault.retries = fs.retries;
-    result.fault.timeouts = fs.timeouts;
-    result.fault.dropped_ops = fs.dropped_ops;
-    result.fault.server_crashes = fs.server_crashes;
-    result.fault.node_deaths = fs.node_deaths;
+    static_cast<fault::Stats&>(result.fault) = fs;
     // Resource accounting: retries are real wall-clock work the harness
     // repeats, so the prof lane tallies them next to its timers. Digest-
     // excluded like everything prof records.
@@ -899,17 +894,8 @@ RunResult run(const Spec& spec) {
 
   if (repl_coordinator) {
     const repl::Stats& rs = repl_coordinator->stats();
+    static_cast<repl::Stats&>(result.repl) = rs;
     result.repl.factor = spec.repl.factor;
-    result.repl.replica_puts = rs.replica_puts;
-    result.repl.replica_bytes = rs.replica_bytes;
-    result.repl.degraded_gets = rs.degraded_gets;
-    result.repl.under_replicated = rs.under_replicated;
-    result.repl.objects_lost = rs.objects_lost;
-    result.repl.resilver_copies = rs.resilver_copies;
-    result.repl.resilver_bytes = rs.resilver_bytes;
-    result.repl.resilver_failures = rs.resilver_failures;
-    result.repl.restores = rs.restores;
-    result.repl.time_to_restore = rs.time_to_restore;
     // Resource accounting: replica and resilver traffic is real extra work
     // the durability policy buys; the prof lanes tally it next to the fault
     // layer's. Digest-excluded like everything prof records.

@@ -170,17 +170,11 @@ struct RunResult {
   std::vector<sim::Engine::TraceEntry> schedule_trace;  // when requested
   std::uint64_t trace_digest = 0;     // imc::trace chunk digest (0 when off)
 
-  // Recovery bookkeeping (zero when Spec::fault is off). On MPI-IO
-  // fallback, `failures` holds the replay's verdict while the primary
-  // method's typed failures move to `recovered_failures`, and end_to_end
-  // covers both attempts.
-  struct FaultStats {
-    std::uint64_t injected = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t dropped_ops = 0;
-    std::uint64_t server_crashes = 0;
-    std::uint64_t node_deaths = 0;
+  // Recovery bookkeeping (zero when Spec::fault is off): the injector's
+  // fault::Stats plus the fallback verdict. On MPI-IO fallback, `failures`
+  // holds the replay's verdict while the primary method's typed failures
+  // move to `recovered_failures`, and end_to_end covers both attempts.
+  struct FaultStats : fault::Stats {
     bool fallback_activated = false;
     double time_to_recover = 0;  // virtual time spent before the fallback
   };
@@ -188,21 +182,11 @@ struct RunResult {
   std::vector<std::string> recovered_failures;
 
   // Durability bookkeeping (zero when Spec::repl is factor 1 and no fault
-  // plan is active). objects_lost counts reads that exhausted every replica
-  // — the acceptance bar for "R >= 2 survives one crash" is this staying 0
-  // with no fallback.
-  struct ReplStats {
-    int factor = 1;                      // effective factor of the run
-    std::uint64_t replica_puts = 0;
-    std::uint64_t replica_bytes = 0;
-    std::uint64_t degraded_gets = 0;
-    std::uint64_t under_replicated = 0;
-    std::uint64_t objects_lost = 0;
-    std::uint64_t resilver_copies = 0;
-    std::uint64_t resilver_bytes = 0;
-    std::uint64_t resilver_failures = 0;
-    std::uint64_t restores = 0;
-    double time_to_restore = 0;  // max crash -> redundancy-restored span
+  // plan is active): the coordinator's repl::Stats plus the run's factor.
+  // objects_lost counts reads that exhausted every replica — the acceptance
+  // bar for "R >= 2 survives one crash" is this staying 0 with no fallback.
+  struct ReplStats : repl::Stats {
+    int factor = 1;  // effective factor of the run
   };
   ReplStats repl;
 

@@ -20,8 +20,8 @@ using workflow::RunResult;
 using workflow::Spec;
 
 // ---------------------------------------------------------------------------
-// Env-knob parsing (the hardened readers behind IMC_THREADS / IMC_FULL_SCALE
-// / IMC_CHECK).
+// Env-knob parsing (the hardened readers behind IMC_THREADS and
+// IMC_FULL_SCALE).
 
 TEST(EnvParse, FlagAcceptsDocumentedForms) {
   EXPECT_TRUE(env::parse_flag("X", nullptr, true).value());

@@ -220,7 +220,6 @@ TEST(World, FallbackReplayReturnsWithTheCallersWorldRestored) {
 #if IMC_CHECK_ENABLED
 
 TEST(World, SweepJobRunChargesItsWorldContextLedger) {
-  if (!audit::runtime_enabled()) GTEST_SKIP() << "IMC_CHECK=0";
   sweep::WorldContext context;
   RunResult result;
   context.run([&result] { result = workflow::run(crashed_spec(false)); });
@@ -230,7 +229,6 @@ TEST(World, SweepJobRunChargesItsWorldContextLedger) {
 }
 
 TEST(World, TwoRunsInOneJobEachReportOnlyTheirOwnLeaks) {
-  if (!audit::runtime_enabled()) GTEST_SKIP() << "IMC_CHECK=0";
   Spec clean = crashed_spec(false);
   clean.fault = fault::Plan{};
   RunResult first;
