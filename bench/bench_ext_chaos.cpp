@@ -83,8 +83,7 @@ int main() {
   // The three chaos plans. Times are virtual seconds into the run.
   PlanRow plans[3];
   plans[0].name = "server-crash";
-  plans[0].plan.server_crash.at = 0.0123;  // before the first publish
-  plans[0].plan.server_crash.server = 0;
+  plans[0].plan.server_crashes = {{0.0123, 0}};  // before the first publish
   plans[0].fallback = true;  // degrade to MPI-IO when staging dies
   plans[1].name = "link-loss";
   plans[1].plan.packet_loss = 0.15;

@@ -27,7 +27,6 @@ bool Plan::any() const {
 
 std::vector<Plan::ServerCrash> Plan::crash_schedule() const {
   std::vector<ServerCrash> schedule;
-  if (server_crash.at >= 0) schedule.push_back(server_crash);
   for (const ServerCrash& crash : server_crashes) {
     if (crash.at >= 0) schedule.push_back(crash);
   }

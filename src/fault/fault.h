@@ -101,10 +101,9 @@ struct Plan {
     double factor = 1.0;  // compute-time multiplier for straggling ranks
   };
 
-  // Legacy single-crash spelling (still honored) plus the general list;
-  // crash_schedule() merges both. Durability tests against replication
-  // factor R >= 3 need two or more distinct crash times.
-  ServerCrash server_crash;
+  // Scheduled server crashes, in any order (crash_schedule() sorts them).
+  // Durability tests against replication factor R >= 3 need two or more
+  // distinct crash times.
   std::vector<ServerCrash> server_crashes;
   NodeDeath node_death;
   Window link_degrade;   // net::Fabric bandwidth *= factor inside window
@@ -117,9 +116,8 @@ struct Plan {
   // (registration flaps, lost packets). seed 0 defers to the plan seed.
   RetryPolicy transport_retry;
 
-  // All enabled server crashes — the legacy single slot merged with the
-  // list — sorted by (time, server). Deterministic regardless of how the
-  // plan was spelled; deploy() spawns one crash watcher per entry.
+  // The enabled server crashes sorted by (time, server), whatever order
+  // the plan listed them in; deploy() spawns one crash watcher per entry.
   std::vector<ServerCrash> crash_schedule() const;
 
   bool any() const;

@@ -21,7 +21,7 @@ namespace {
 TEST(FaultPlan, AnyDetectsEachKnob) {
   EXPECT_FALSE(Plan{}.any());
   Plan crash;
-  crash.server_crash.at = 0.5;
+  crash.server_crashes = {{0.5, 0}};
   EXPECT_TRUE(crash.any());
   Plan death;
   death.node_death.at = 0.5;
@@ -46,9 +46,9 @@ TEST(FaultPlan, AnyDetectsEachKnob) {
 
 TEST(FaultPlan, CrashScheduleMergesLegacyAndListSorted) {
   Plan plan;
-  plan.server_crash = {0.3, 1};          // legacy single-crash spelling
   plan.server_crashes.push_back({0.5, 2});
   plan.server_crashes.push_back({0.1, 3});
+  plan.server_crashes.push_back({0.5, 1});
   plan.server_crashes.push_back({-1.0, 4});  // disabled — filtered out
   const auto schedule = plan.crash_schedule();
   ASSERT_EQ(schedule.size(), 3u);
@@ -56,12 +56,6 @@ TEST(FaultPlan, CrashScheduleMergesLegacyAndListSorted) {
   EXPECT_DOUBLE_EQ(schedule[0].at, 0.1);
   EXPECT_EQ(schedule[1].server, 1);
   EXPECT_EQ(schedule[2].server, 2);
-
-  // A list-only plan (no legacy slot) still counts as "any fault".
-  Plan list_only;
-  list_only.server_crashes.push_back({0.2, 0});
-  EXPECT_TRUE(list_only.any());
-  EXPECT_EQ(list_only.crash_schedule().size(), 1u);
   EXPECT_FALSE(Plan{}.any());
   EXPECT_TRUE(Plan{}.crash_schedule().empty());
 }
@@ -338,7 +332,7 @@ TEST(FaultWorkflow, TransientFlapsAndLossAreRiddenOutToCompletion) {
 
 TEST(FaultWorkflow, ServerCrashSurfacesTypedFailuresWithoutFallback) {
   workflow::Spec spec = chaos_spec(workflow::MethodSel::kDataspacesNative);
-  spec.fault.server_crash.at = 1e-3;
+  spec.fault.server_crashes = {{1e-3, 0}};
   workflow::RunResult result = workflow::run(spec);
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(result.fault.server_crashes, 1u);
@@ -353,7 +347,7 @@ TEST(FaultWorkflow, ServerCrashSurfacesTypedFailuresWithoutFallback) {
 
 TEST(FaultWorkflow, MpiIoFallbackRecoversTheAnalysis) {
   workflow::Spec spec = chaos_spec(workflow::MethodSel::kDataspacesNative);
-  spec.fault.server_crash.at = 1e-3;
+  spec.fault.server_crashes = {{1e-3, 0}};
   spec.fallback.to_mpi_io = true;
   workflow::RunResult result = workflow::run(spec);
   EXPECT_TRUE(result.ok) << result.failure_summary();
@@ -373,7 +367,7 @@ TEST(FaultWorkflow, MpiIoFallbackRecoversTheAnalysis) {
 
 TEST(FaultWorkflow, DimesMetadataCrashFailsTypedAndFallsBack) {
   workflow::Spec spec = chaos_spec(workflow::MethodSel::kDimesNative);
-  spec.fault.server_crash.at = 1e-3;
+  spec.fault.server_crashes = {{1e-3, 0}};
   spec.fallback.to_mpi_io = true;
   workflow::RunResult result = workflow::run(spec);
   EXPECT_TRUE(result.ok) << result.failure_summary();
@@ -434,7 +428,7 @@ TEST(FaultDeterminism, TransientChaosIsScheduleInvariant) {
 
 TEST(FaultDeterminism, CrashAndFallbackAreScheduleInvariant) {
   workflow::Spec spec = chaos_spec(workflow::MethodSel::kDataspacesNative);
-  spec.fault.server_crash.at = 1e-3;
+  spec.fault.server_crashes = {{1e-3, 0}};
   spec.fallback.to_mpi_io = true;
   check::Options options;
   options.repeats = 2;
@@ -446,7 +440,7 @@ TEST(FaultDeterminism, ChaosRunIsThreadCountInvariantOnTheSweepPool) {
   // The same chaos spec run twice on pools of different widths must report
   // byte-identical sorted failure sets (multi-failure ordering stability).
   workflow::Spec spec = chaos_spec(workflow::MethodSel::kDataspacesNative);
-  spec.fault.server_crash.at = 1e-3;
+  spec.fault.server_crashes = {{1e-3, 0}};
   auto sorted_failures = [&spec](int threads) {
     std::vector<std::function<workflow::RunResult()>> jobs;
     for (int i = 0; i < 4; ++i) {

@@ -195,7 +195,7 @@ Spec crashed_spec(bool fallback) {
   spec.steps = 2;
   spec.laplace_rows = 64;
   spec.laplace_cols_per_proc = 64;
-  spec.fault.server_crash.at = 1e-3;
+  spec.fault.server_crashes = {{1e-3, 0}};
   spec.fallback.to_mpi_io = fallback;
   return spec;
 }
