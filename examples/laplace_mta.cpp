@@ -4,8 +4,9 @@
 //
 //   ./build/examples/laplace_mta
 //
-// Demonstrates: XML group/method configuration, the Flexpath pub/sub path
-// with queue_size=1 back-pressure, and real Jacobi data flowing to the MTA.
+// Demonstrates: XML group configuration, the Flexpath pub/sub path with
+// queue_size=1 back-pressure, and real Jacobi data flowing to the MTA. The
+// method and its queue size are the run's Spec, not the XML.
 #include <cstdio>
 
 #include "adios/adios.h"
@@ -21,7 +22,6 @@ constexpr const char* kWorkflowConfig = R"(<?xml version="1.0"?>
   <adios-group name="laplace">
     <var name="field" dimensions="4096,ncols" type="double"/>
   </adios-group>
-  <method group="laplace" method="FLEXPATH" parameters="queue_size=1"/>
   <buffer size-MB="320"/>
   <analysis stats="on"/>
 </adios-config>)";
@@ -29,6 +29,17 @@ constexpr const char* kWorkflowConfig = R"(<?xml version="1.0"?>
 }  // namespace
 
 int main() {
+  workflow::Spec spec;
+  spec.app = workflow::AppSel::kLaplace;
+  spec.method = workflow::MethodSel::kFlexpath;
+  spec.machine = hpc::cori_knl();
+  spec.nsim = 8;
+  spec.nana = 4;
+  spec.steps = 3;
+  spec.laplace_rows = 96;          // scaled-down grid, real Jacobi kernel
+  spec.laplace_cols_per_proc = 96;
+  spec.flexpath_queue_size = 1;
+
   // Parse the configuration exactly as adios_init would.
   auto config = adios::parse_config(kWorkflowConfig);
   if (!config.has_value()) {
@@ -42,19 +53,7 @@ int main() {
   std::printf("ADIOS config: group '%s', var '%s' %s via %s\n",
               group->name.c_str(), group->vars[0].name.c_str(),
               nda::Box::whole(*dims).to_string().c_str(),
-              std::string(to_string(group->method)).c_str());
-
-  workflow::Spec spec;
-  spec.app = workflow::AppSel::kLaplace;
-  spec.method = workflow::MethodSel::kFlexpath;
-  spec.machine = hpc::cori_knl();
-  spec.nsim = 8;
-  spec.nana = 4;
-  spec.steps = 3;
-  spec.laplace_rows = 96;          // scaled-down grid, real Jacobi kernel
-  spec.laplace_cols_per_proc = 96;
-  spec.flexpath_queue_size = 1;
-
+              std::string(workflow::to_string(spec.method)).c_str());
   std::printf("Laplace + MTA via Flexpath on %s (%d+%d ranks, %d steps, "
               "queue_size=1)\n",
               spec.machine.name.c_str(), spec.nsim, spec.nana, spec.steps);

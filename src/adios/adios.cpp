@@ -5,32 +5,6 @@
 
 namespace imc::adios {
 
-Result<Method> parse_method(const std::string& name) {
-  if (name == "MPI" || name == "MPI_AGGREGATE" || name == "MPIIO" ||
-      name == "MPI-IO") {
-    return Method::kMpiIo;
-  }
-  if (name == "DATASPACES") return Method::kDataspaces;
-  if (name == "DIMES") return Method::kDimes;
-  if (name == "FLEXPATH") return Method::kFlexpath;
-  return make_error(ErrorCode::kInvalidArgument,
-                    "unknown ADIOS method '" + name + "'");
-}
-
-std::string_view to_string(Method method) {
-  switch (method) {
-    case Method::kMpiIo:
-      return "MPI";
-    case Method::kDataspaces:
-      return "DATASPACES";
-    case Method::kDimes:
-      return "DIMES";
-    case Method::kFlexpath:
-      return "FLEXPATH";
-  }
-  return "?";
-}
-
 const GroupDecl* AdiosConfig::group(const std::string& name) const {
   for (const auto& g : groups) {
     if (g.name == name) return &g;
@@ -66,24 +40,6 @@ Result<AdiosConfig> parse_config(const std::string& xml) {
       group.vars.push_back(std::move(var));
     }
     config.groups.push_back(std::move(group));
-  }
-  for (const XmlNode* method_node : root->children_named("method")) {
-    const std::string group_name = method_node->attr("group");
-    auto method = parse_method(method_node->attr("method"));
-    if (!method.has_value()) return method.status();
-    bool found = false;
-    for (auto& group : config.groups) {
-      if (group.name == group_name) {
-        group.method = *method;
-        group.parameters = method_node->attr("parameters");
-        found = true;
-      }
-    }
-    if (!found) {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "<method> references unknown group '" + group_name +
-                            "'");
-    }
   }
   if (const XmlNode* buffer = root->child("buffer")) {
     const std::string mb = buffer->attr("size-MB", "64");

@@ -3,9 +3,10 @@
 // ADIOS is the plug-and-play I/O framework through which the paper drives
 // MPI-IO, DataSpaces, DIMES and Flexpath ("DataSpaces/ADIOS" etc. in
 // Table I). It contributes:
-//  * the XML configuration (groups, variables with symbolic dimensions, a
-//    transport method per group, buffer sizing, stats on/off) — the
-//    usability surface measured in Table III;
+//  * the XML configuration (groups, variables with symbolic dimensions,
+//    buffer sizing, stats on/off) — the usability surface measured in
+//    Table III. A run's transport method comes from workflow::Spec, so a
+//    <method> element is not read;
 //  * Io, a decorator over any method's step client (staging/client.h):
 //    writes buffered until adios_close plus the optional min/max
 //    statistics pass, ADIOS's overhead over the native APIs (the paper's
@@ -32,14 +33,9 @@
 
 namespace imc::adios {
 
-enum class Method { kMpiIo, kDataspaces, kDimes, kFlexpath };
-
 // Largest mixed or materialized read the MPI-IO path assembles (the value
 // the staging libraries' Config::materialize_cap_elems defaults to).
 inline constexpr std::uint64_t kMpiIoReadCapElems = 1ull << 22;
-
-Result<Method> parse_method(const std::string& name);
-std::string_view to_string(Method method);
 
 struct VarDecl {
   std::string name;
@@ -50,8 +46,6 @@ struct VarDecl {
 struct GroupDecl {
   std::string name;
   std::vector<VarDecl> vars;
-  Method method = Method::kMpiIo;
-  std::string parameters;  // method options verbatim (e.g. "queue_size=1")
 };
 
 struct AdiosConfig {

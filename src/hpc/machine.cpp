@@ -60,15 +60,6 @@ MachineConfig cori_knl() {
   return m;
 }
 
-MachineConfig cori_haswell() {
-  MachineConfig m = cori_knl();
-  m.name = "cori-haswell";
-  m.cores_per_node = 32;
-  m.cpu_speed = 2.3 / 2.2;
-  m.memory_per_node = 128ull * kGiB;
-  return m;
-}
-
 MachineConfig testbed() {
   MachineConfig m;
   m.name = "testbed";

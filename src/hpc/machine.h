@@ -95,10 +95,6 @@ MachineConfig titan();
 // NERSC Cori KNL partition (Cray XC40).
 MachineConfig cori_knl();
 
-// NERSC Cori Haswell partition (not used in the headline figures but part of
-// the system description; available for extension experiments).
-MachineConfig cori_haswell();
-
 // A small, fast, deterministic machine for unit tests: tiny resource limits
 // so exhaustion paths are exercised with small inputs.
 MachineConfig testbed();

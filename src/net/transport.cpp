@@ -292,30 +292,7 @@ sim::Task<Status> SocketTransport::transfer(const Endpoint& from,
     // Multiplexing: wait for a free stream in the shared pool.
     {
       TRACE_SPAN("socket.pool_wait", from.node->id(), 0);
-      if (pool_.wait_timeout >= 0) {
-        // Bounded wait: poll on a fixed virtual-time slice (the semaphore
-        // has no cancellable acquire). Slices are deterministic, so the
-        // timeout decision is too.
-        const double deadline = engine_->now() + pool_.wait_timeout;
-        const double slice = std::max(pool_.wait_timeout / 64.0, 1e-5);
-        while (!it->second.slots->try_acquire()) {
-          if (engine_->now() >= deadline) {
-            if (fault::Injector* injector = fault::active()) {
-              injector->note_timeout();
-              injector->note_dropped();
-            }
-            co_return make_error(
-                ErrorCode::kTimeout,
-                "socket pool wait exceeded " +
-                    std::to_string(pool_.wait_timeout) +
-                    "s between nodes " + std::to_string(from.node->id()) +
-                    " and " + std::to_string(to.node->id()));
-          }
-          co_await engine_->sleep(slice);
-        }
-      } else {
-        co_await it->second.slots->acquire();
-      }
+      co_await it->second.slots->acquire();
     }
     if (may_lose_packets()) {
       if (Status s = co_await retransmit_losses(*engine_, op); !s.is_ok()) {

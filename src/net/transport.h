@@ -116,11 +116,6 @@ class SocketTransport final : public Transport {
   struct PoolConfig {
     bool enabled = false;
     int streams_per_node_pair = 2;
-    // Per-transfer bound on the wait for a free stream, in virtual seconds;
-    // < 0 waits forever (the historical behaviour). With a bound set the
-    // wait polls deterministically and exceeding it surfaces
-    // ErrorCode::kTimeout instead of parking the transfer.
-    double wait_timeout = -1.0;
   };
 
   SocketTransport(sim::Engine& engine, Fabric& fabric)

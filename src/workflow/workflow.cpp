@@ -629,8 +629,7 @@ RunResult run(const Spec& spec) {
           ctx.engine, ctx.fabric, kind, ctx.drc.get());
       break;
     case net::TransportKind::kSockets: {
-      net::SocketTransport::PoolConfig pool{spec.socket_pooling, 2,
-                                            spec.socket_pool_timeout};
+      net::SocketTransport::PoolConfig pool{spec.socket_pooling, 2};
       ctx.transport = std::make_unique<net::SocketTransport>(
           ctx.engine, ctx.fabric, pool);
       break;

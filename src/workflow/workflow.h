@@ -114,9 +114,6 @@ struct Spec {
   // lost redundancy in the background (DESIGN.md §15). Bound as the run's
   // World `repl`, like the fault plan.
   repl::Policy repl;
-  // Socket-pool slot wait budget (virtual seconds); < 0 waits forever (the
-  // historical behavior), >= 0 surfaces kTimeout when exceeded.
-  double socket_pool_timeout = -1.0;
 
   // Same-instant event ordering. Correct components must produce the same
   // results under every policy; check::run_deterministic() sweeps these.

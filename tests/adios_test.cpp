@@ -69,26 +69,9 @@ TEST(Config, ParsesFullDocument) {
   ASSERT_EQ(group.vars.size(), 2u);
   EXPECT_EQ(group.vars[0].name, "atoms");
   EXPECT_EQ(group.vars[0].dimensions, "5,nprocs,512000");
-  EXPECT_EQ(group.method, Method::kDataspaces);
-  EXPECT_EQ(group.parameters, "lock_type=2");
+  // The <method> element is not read: a run's method is its Spec's.
   EXPECT_EQ(config->buffer_bytes, 40 * kMiB);
   EXPECT_FALSE(config->stats);
-}
-
-TEST(Config, MethodForUnknownGroupFails) {
-  auto config = parse_config(
-      "<adios-config><adios-group name=\"a\"><var name=\"v\" "
-      "dimensions=\"4\"/></adios-group>"
-      "<method group=\"zzz\" method=\"MPI\"/></adios-config>");
-  EXPECT_FALSE(config.has_value());
-}
-
-TEST(Config, UnknownMethodFails) {
-  auto config = parse_config(
-      "<adios-config><adios-group name=\"a\"><var name=\"v\" "
-      "dimensions=\"4\"/></adios-group>"
-      "<method group=\"a\" method=\"HDF9\"/></adios-config>");
-  EXPECT_FALSE(config.has_value());
 }
 
 TEST(Config, ResolveDimsSubstitutesSymbols) {
@@ -110,14 +93,6 @@ TEST(Config, ResolveDimsBeyondMaxRankIsInvalid) {
   EXPECT_NE(five.status().to_string().find("more than 4 dimensions"),
             std::string::npos)
       << five.status();
-}
-
-TEST(Methods, RoundTripNames) {
-  EXPECT_EQ(*parse_method("MPI"), Method::kMpiIo);
-  EXPECT_EQ(*parse_method("DATASPACES"), Method::kDataspaces);
-  EXPECT_EQ(*parse_method("DIMES"), Method::kDimes);
-  EXPECT_EQ(*parse_method("FLEXPATH"), Method::kFlexpath);
-  EXPECT_EQ(to_string(Method::kDimes), "DIMES");
 }
 
 // --- Io over MPI-IO (the self-contained client) ----------------------------
