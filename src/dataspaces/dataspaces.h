@@ -128,8 +128,9 @@ struct Server : staging::ServerBase<Request> {
 };
 
 // The staging service on its server group (staging/server_group.h), which
-// deploys the servers, keeps the version board and handles crashes.
-class DataSpaces final : public staging::ServerGroup<Server> {
+// deploys the servers, keeps the version board, handles crashes and walks
+// the replica chains.
+class DataSpaces final : public staging::ServerGroup<Server, DataSpaces> {
  public:
   DataSpaces(sim::Engine& engine, hpc::Cluster& cluster,
              net::Transport& transport, Config config);
@@ -196,13 +197,16 @@ class DataSpaces final : public staging::ServerGroup<Server> {
 
  private:
   friend class Client;
+  friend ServerGroup;
 
-  sim::Task<> server_loop(Server& server) override;
+  sim::Task<> server_loop(Server& server);
   // Frees the staged objects and index tables a server still holds when it
   // exits its loop on Shutdown (the group then frees the rest).
   void teardown_server(Server& server);
   void evict_versions(Server& server, std::string_view var,
                       int newest_version);
+  // Frees one version's staged objects and index entries.
+  void release(Server& server, const VersionEntry& entry);
   // One staging attempt: eviction, index charge, memory + registration.
   Status try_stage(Server& server, const PutPrep& req);
   void handle_put_prep(Server& server, PutPrep& req);
@@ -211,41 +215,34 @@ class DataSpaces final : public staging::ServerGroup<Server> {
   sim::Task<Status> stage_attempt(Server& server, const PutPrep& req,
                                   int attempt);
 
-  // --- replication (imc::repl; factor_ == 1 bypasses all of it) ---
-  // Server id at chain position k of region `region_idx`'s replica chain.
-  int replica_of(int region_idx, int k) const {
-    return repl::chain_position(server_of_region(region_idx, num_servers()),
-                                k, num_servers());
+  // --- what the group's replication core asks (staging/server_group.h) ---
+  // A staged object's chain is anchored at its region's owner; a copy is
+  // the PutPrep (reply-less) that stages it.
+  using Replica = PutPrep;
+  struct Chain {
+    std::string var;
+    int region;
+    int anchor;
+  };
+  // Every region of every variable a client used, by name then region.
+  std::vector<Chain> chains() const;
+  // The chain's objects `server` stages, by version then staging order.
+  std::vector<Replica> replicas(const Server& server,
+                                const Chain& chain) const;
+  bool holds(const Server& server, const Replica& replica) const;
+  static std::uint64_t resilver_key(const Replica& replica);
+  // One server-to-server object copy, for the resilver and the async put
+  // alike: transfer out of the source's pinned staging memory, stage and
+  // commit on the destination.
+  sim::Task<Status> copy(int src_id, int dst_id, const Replica& replica);
+  sim::Task<Status> forward(int src_id, int dst_id, const Replica& replica) {
+    return copy(src_id, dst_id, replica);
   }
-  // One server-to-server object copy: transfer out of the source's pinned
-  // staging memory, stage + commit on the destination. Used by the resilver
-  // and the async put continuation.
-  sim::Task<Status> replicate_object(int src_id, int dst_id, nda::VarDesc var,
-                                     int region, nda::Box box,
-                                     std::uint64_t bytes);
-  // Async-mode continuation: after the quorum acked, write the remaining
-  // replicas by forwarding from the last acked server in the background.
-  sim::Task<> async_replicate(int src_id, nda::VarDesc var, int region,
-                              nda::Box box, std::uint64_t bytes, int start_k,
-                              int want);
-  // Background resilver after the crash of server `crashed`: re-copies
-  // every under-replicated staged object onto the first surviving chain
-  // candidates, each copy retried under the policy's resilver_retry.
-  sim::Task<> resilver(int crashed, double crashed_at) override;
-  // One resilver copy attempt: re-picks the surviving source and the first
-  // live candidate lacking the object *per attempt*, so a follow-on crash
-  // mid-retry re-routes instead of hammering a dead server.
-  sim::Task<Status> resilver_copy_once(nda::VarDesc var, int region,
-                                       nda::Box box, std::uint64_t bytes);
+
   void handle_put_commit(Server& server, PutCommit& req);
   sim::Task<> run_get(Server& server, GetReq req);
 
   const RegionSet& regions_of(const nda::VarDesc& var);
-  bool transport_is_rdma() const {
-    const auto k = transport_->kind();
-    return k == net::TransportKind::kRdmaUgni ||
-           k == net::TransportKind::kRdmaNnti;
-  }
 
   // Per-request server costs: descriptor handling plus DHT/SFC index
   // insertion and uGNI handshakes. These fixed per-object costs are what

@@ -87,8 +87,9 @@ struct Server : staging::ServerBase<Request> {
 };
 
 // The DIMES metadata service on its server group (staging/server_group.h),
-// which deploys the servers, keeps the version board and handles crashes.
-class Dimes final : public staging::ServerGroup<Server> {
+// which deploys the servers, keeps the version board, handles crashes and
+// walks the replica chains.
+class Dimes final : public staging::ServerGroup<Server, Dimes> {
  public:
   Dimes(sim::Engine& engine, hpc::Cluster& cluster, net::Transport& transport,
         Config config);
@@ -135,6 +136,8 @@ class Dimes final : public staging::ServerGroup<Server> {
     };
 
     void evict_before(const std::string& var, int version);
+    // Frees one staged object: staging memory, registration, audit entry.
+    void release(const LocalObject& object);
     // One metadata round trip each (driven by fault::retry): control
     // message to the server, request, reply. The query variant delivers
     // its hits through `out`.
@@ -154,29 +157,38 @@ class Dimes final : public staging::ServerGroup<Server> {
 
  private:
   friend class Client;
+  friend ServerGroup;
 
-  sim::Task<> server_loop(Server& server) override;
+  sim::Task<> server_loop(Server& server);
 
-  // --- metadata replication (imc::repl; factor_ == 1 bypasses all of it) ---
+  // --- what the group's replication core asks (staging/server_group.h) ---
   // Staged data lives in client memory here, so what replication protects is
-  // the *directory*: descriptors land on `factor_` chained metadata servers
-  // anchored at hash(name) % ns.
+  // the *directory*: a variable's descriptors live on the chain anchored at
+  // hash(name) % ns.
   int primary_of(const std::string& var_name) const {
     return static_cast<int>(std::hash<std::string>{}(var_name) %
                             servers_.size());
   }
-  // Async-mode continuation: forward the descriptor to the remaining chain
-  // members from the first acked server, off the writer's critical path.
-  sim::Task<> async_put_meta(int src_id, nda::VarDesc var, nda::Box box,
-                             int owner_pid, int start_k, int want);
-  // One resilver copy attempt: re-picks the surviving source and the first
-  // live chain member lacking the descriptor per attempt.
-  sim::Task<Status> meta_copy_once(std::string var_name, int version,
-                                   ObjectDesc desc);
-  // Background resilver after the crash of metadata server `crashed`:
-  // re-copies under-replicated directory entries onto surviving chain
-  // members.
-  sim::Task<> resilver(int crashed, double crashed_at) override;
+  struct Replica {
+    nda::VarDesc var;  // name and version
+    ObjectDesc desc;
+    std::uint64_t bytes;  // the directory entry's charge
+  };
+  struct Chain {
+    std::string var;
+    int anchor;
+  };
+  // Every variable a surviving directory holds, by name.
+  std::vector<Chain> chains() const;
+  // The variable's descriptors `server` holds, by version then put order.
+  std::vector<Replica> replicas(const Server& server,
+                                const Chain& chain) const;
+  bool holds(const Server& server, const Replica& replica) const;
+  static std::uint64_t resilver_key(const Replica& replica);
+  // A control message to `dst`, which then inserts the descriptor: directly
+  // for the resilver, as a queued PutMeta for the async put.
+  sim::Task<Status> copy(int src, int dst, const Replica& replica);
+  sim::Task<Status> forward(int src, int dst, const Replica& replica);
 
   static constexpr double kServerServiceSeconds = 8e-6;
 
