@@ -57,8 +57,9 @@ fi
 # determinism harness run their worker threads under TSan, which would flag
 # any cross-world shared state the per-thread World missed. The pooled trace
 # and prof tests cover the World's chunk capture and lane meter on every
-# worker.
-echo "==> TSan (sweep + check tests, pooled trace + prof tests)"
+# worker, and the replication determinism tests run replicated, crashing
+# DataSpaces and DIMES worlds on the pool.
+echo "==> TSan (sweep + check tests, pooled trace + prof + repl tests)"
 tsan_build="$repo/build-tsan"
 cmake -B "$tsan_build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -66,13 +67,15 @@ cmake -B "$tsan_build" -S "$repo" \
   -DIMC_SANITIZE="thread" \
   ${CMAKE_GENERATOR:+-G "$CMAKE_GENERATOR"}
 cmake --build "$tsan_build" -j "$(nproc)" \
-  --target test_sweep test_check test_trace test_prof
+  --target test_sweep test_check test_trace test_prof test_repl
 IMC_THREADS=8 "$tsan_build/tests/test_sweep"
 IMC_THREADS=8 "$tsan_build/tests/test_check"
 IMC_THREADS=8 "$tsan_build/tests/test_trace" \
   --gtest_filter='TraceDeterminism.*:TraceRouting.*'
 IMC_THREADS=8 "$tsan_build/tests/test_prof" \
   --gtest_filter='ProfSweep.*:ProfDigestExclusion.*'
+IMC_THREADS=8 "$tsan_build/tests/test_repl" \
+  --gtest_filter='ReplDeterminism.*'
 
 # Release-mode bench smoke: builds the benches without sanitizers, runs the
 # hot-path microbench subset plus five fast scenarios, and asserts the run
