@@ -1,32 +1,17 @@
-// The Laplace + moment-turbulence-analysis workflow (Table II), configured
-// through an ADIOS XML document — the way the paper's domain scientists
-// drive these libraries.
+// The Laplace + moment-turbulence-analysis workflow (Table II) through
+// ADIOS over Flexpath.
 //
 //   ./build/examples/laplace_mta
 //
-// Demonstrates: XML group configuration, the Flexpath pub/sub path with
-// queue_size=1 back-pressure, and real Jacobi data flowing to the MTA. The
-// method and its queue size are the run's Spec, not the XML.
+// Demonstrates: the Flexpath pub/sub path with queue_size=1 back-pressure,
+// and real Jacobi data flowing to the MTA. The method, its queue size and
+// the ADIOS buffer and stats settings all come from the run's Spec.
 #include <cstdio>
 
-#include "adios/adios.h"
 #include "common/units.h"
 #include "workflow/workflow.h"
 
 using namespace imc;
-
-namespace {
-
-constexpr const char* kWorkflowConfig = R"(<?xml version="1.0"?>
-<adios-config host-language="C">
-  <adios-group name="laplace">
-    <var name="field" dimensions="4096,ncols" type="double"/>
-  </adios-group>
-  <buffer size-MB="320"/>
-  <analysis stats="on"/>
-</adios-config>)";
-
-}  // namespace
 
 int main() {
   workflow::Spec spec;
@@ -40,19 +25,10 @@ int main() {
   spec.laplace_cols_per_proc = 96;
   spec.flexpath_queue_size = 1;
 
-  // Parse the configuration exactly as adios_init would.
-  auto config = adios::parse_config(kWorkflowConfig);
-  if (!config.has_value()) {
-    std::fprintf(stderr, "config error: %s\n",
-                 config.status().to_string().c_str());
-    return 1;
-  }
-  const adios::GroupDecl* group = config->group("laplace");
-  auto dims = adios::resolve_dims(group->vars[0].dimensions,
-                                  {{"ncols", 8ull * 4096}});
-  std::printf("ADIOS config: group '%s', var '%s' %s via %s\n",
-              group->name.c_str(), group->vars[0].name.c_str(),
-              nda::Box::whole(*dims).to_string().c_str(),
+  // The field every step stages.
+  const nda::VarDesc field = workflow::global_desc(spec, 0);
+  std::printf("ADIOS var '%s' %s via %s\n", field.name.c_str(),
+              nda::Box::whole(field.global).to_string().c_str(),
               std::string(workflow::to_string(spec.method)).c_str());
   std::printf("Laplace + MTA via Flexpath on %s (%d+%d ranks, %d steps, "
               "queue_size=1)\n",

@@ -7,8 +7,6 @@
       --baseline FILE      tolerate findings fingerprinted in FILE
       --write-baseline F   write the current findings to F and exit 0
       --sarif FILE         also write a SARIF 2.1.0 report
-      --backend B          tokens (default) or libclang (cross-check, only
-                           if python clang bindings are installed)
       --list-rules         print the rule table and exit
 
 Exit status: 0 clean (or baselined-only), 1 non-baselined findings,
@@ -25,8 +23,7 @@ import os
 import re
 import sys
 
-from analyze import __version__, baseline as baseline_mod, clang_backend, \
-    sarif as sarif_mod
+from analyze import __version__, baseline as baseline_mod, sarif as sarif_mod
 from analyze.rules import RULES, Context
 from analyze.tokens import tokenize
 
@@ -114,8 +111,6 @@ def main(argv=None):
     parser.add_argument("--baseline")
     parser.add_argument("--write-baseline")
     parser.add_argument("--sarif")
-    parser.add_argument("--backend", choices=("tokens", "libclang"),
-                        default="tokens")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--version", action="version",
                         version=f"imc-analyze {__version__}")
@@ -158,16 +153,6 @@ def main(argv=None):
         findings, raw_lines = analyze_file(path, enabled)
         all_findings.extend(findings)
         lines_by_path[path] = raw_lines
-
-    if args.backend == "libclang":
-        if clang_backend.available():
-            all_findings, verified = clang_backend.refine_unordered(
-                all_findings)
-            print(f"imc-analyze: libclang backend verified {verified} "
-                  "unordered-iteration finding(s)")
-        else:
-            print("imc-analyze: libclang bindings not installed; "
-                  "continuing with the token backend", file=sys.stderr)
 
     def line_text(f):
         lines = lines_by_path.get(f.path, [])

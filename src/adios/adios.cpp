@@ -1,94 +1,6 @@
 #include "adios/adios.h"
 
-#include <cctype>
-#include <cstdlib>
-
 namespace imc::adios {
-
-const GroupDecl* AdiosConfig::group(const std::string& name) const {
-  for (const auto& g : groups) {
-    if (g.name == name) return &g;
-  }
-  return nullptr;
-}
-
-Result<AdiosConfig> parse_config(const std::string& xml) {
-  auto root = parse_xml(xml);
-  if (!root.has_value()) return root.status();
-  if (root->name != "adios-config") {
-    return make_error(ErrorCode::kInvalidArgument,
-                      "root element must be <adios-config>, got <" +
-                          root->name + ">");
-  }
-  AdiosConfig config;
-  for (const XmlNode* group_node : root->children_named("adios-group")) {
-    GroupDecl group;
-    group.name = group_node->attr("name");
-    if (group.name.empty()) {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "<adios-group> requires a name attribute");
-    }
-    for (const XmlNode* var_node : group_node->children_named("var")) {
-      VarDecl var;
-      var.name = var_node->attr("name");
-      var.dimensions = var_node->attr("dimensions");
-      var.type = var_node->attr("type", "double");
-      if (var.name.empty() || var.dimensions.empty()) {
-        return make_error(ErrorCode::kInvalidArgument,
-                          "<var> requires name and dimensions");
-      }
-      group.vars.push_back(std::move(var));
-    }
-    config.groups.push_back(std::move(group));
-  }
-  if (const XmlNode* buffer = root->child("buffer")) {
-    const std::string mb = buffer->attr("size-MB", "64");
-    config.buffer_bytes =
-        static_cast<std::uint64_t>(std::strtoull(mb.c_str(), nullptr, 10)) *
-        kMiB;
-  }
-  if (const XmlNode* stats = root->child("analysis")) {
-    config.stats = stats->attr("stats", "on") != "off";
-  }
-  return config;
-}
-
-Result<nda::Dims> resolve_dims(
-    const std::string& spec,
-    const std::map<std::string, std::uint64_t>& symbols) {
-  nda::Dims dims;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    std::string token = spec.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    // Trim.
-    while (!token.empty() && token.front() == ' ') token.erase(0, 1);
-    while (!token.empty() && token.back() == ' ') token.pop_back();
-    if (token.empty()) {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "empty dimension in '" + spec + "'");
-    }
-    if (dims.size() == nda::Dims::kMaxRank) {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "more than " + std::to_string(nda::Dims::kMaxRank) +
-                            " dimensions in '" + spec + "'");
-    }
-    if (std::isdigit(static_cast<unsigned char>(token[0]))) {
-      dims.push_back(std::strtoull(token.c_str(), nullptr, 10));
-    } else {
-      auto it = symbols.find(token);
-      if (it == symbols.end()) {
-        return make_error(ErrorCode::kInvalidArgument,
-                          "unknown dimension symbol '" + token + "'");
-      }
-      dims.push_back(it->second);
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return dims;
-}
 
 // ---------------------------------------------------------- MPI-IO ----
 

@@ -3,10 +3,9 @@
 // ADIOS is the plug-and-play I/O framework through which the paper drives
 // MPI-IO, DataSpaces, DIMES and Flexpath ("DataSpaces/ADIOS" etc. in
 // Table I). It contributes:
-//  * the XML configuration (groups, variables with symbolic dimensions,
-//    buffer sizing, stats on/off) — the usability surface measured in
-//    Table III. A run's transport method comes from workflow::Spec, so a
-//    <method> element is not read;
+//  * AdiosConfig, the two settings of the XML document that change a run
+//    (buffer size and stats on/off); the harness sets both from
+//    workflow::Spec, as it does the transport method;
 //  * Io, a decorator over any method's step client (staging/client.h):
 //    writes buffered until adios_close plus the optional min/max
 //    statistics pass, ADIOS's overhead over the native APIs (the paper's
@@ -15,12 +14,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "adios/xml.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "hpc/cluster.h"
@@ -37,32 +34,10 @@ namespace imc::adios {
 // the staging libraries' Config::materialize_cap_elems defaults to).
 inline constexpr std::uint64_t kMpiIoReadCapElems = 1ull << 22;
 
-struct VarDecl {
-  std::string name;
-  std::string dimensions;  // e.g. "5,nprocs,512000" (symbols allowed)
-  std::string type = "double";
-};
-
-struct GroupDecl {
-  std::string name;
-  std::vector<VarDecl> vars;
-};
-
 struct AdiosConfig {
-  std::vector<GroupDecl> groups;
   std::uint64_t buffer_bytes = 64 * kMiB;  // <buffer size-MB=.../>
-  bool stats = true;                       // stats="off" disables
-
-  const GroupDecl* group(const std::string& name) const;
+  bool stats = true;                       // <analysis stats="off"/> clears
 };
-
-// Parses an <adios-config> document.
-Result<AdiosConfig> parse_config(const std::string& xml);
-
-// Resolves "5,nprocs,512000" against a symbol table. A spec listing more
-// than nda::Dims::kMaxRank dimensions is kInvalidArgument.
-Result<nda::Dims> resolve_dims(const std::string& spec,
-                               const std::map<std::string, std::uint64_t>& symbols);
 
 // MPI-IO through the BP-file method, ADIOS's only MPI packaging: every
 // step is one file per rank, opened at begin_step and (by a writer) closed

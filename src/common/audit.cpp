@@ -19,8 +19,6 @@ std::string_view to_string(Resource r) {
       return "sockets";
     case Resource::kDrcCredential:
       return "drc-credentials";
-    case Resource::kDsLock:
-      return "ds-locks";
     case Resource::kStagedObject:
       return "staged-objects";
   }

@@ -1,7 +1,7 @@
 // Invariant / leak auditor for simulated resources.
 //
 // Every pool in the simulator (process memory, RDMA registrations and
-// handlers, sockets, DRC credentials, DataSpaces locks, staged objects)
+// handlers, sockets, DRC credentials, staged objects)
 // reports acquire/release pairs here, tagged with an owner string. At
 // scenario teardown anything still outstanding is a leak — the simulated
 // analogue of the memory-growth failure modes the paper documents (F4/F8).
@@ -32,10 +32,9 @@ enum class Resource : int {
   kRdmaHandlers,      // hpc::RdmaPool connection handlers
   kSockets,           // hpc::SocketPool descriptors
   kDrcCredential,     // net::DrcService credentials
-  kDsLock,            // dataspaces::LockService held locks
   kStagedObject,      // objects resident in a staging store
 };
-inline constexpr int kResourceCount = 7;
+inline constexpr int kResourceCount = 6;
 
 std::string_view to_string(Resource r);
 

@@ -44,8 +44,7 @@ DataSpaces::DataSpaces(sim::Engine& engine, hpc::Cluster& cluster,
                    .num_servers = config.num_servers,
                    .servers_per_node = config.servers_per_node,
                    .base_bytes = config.server_base_bytes}),
-      config_(std::move(config)),
-      locks_(engine, config_.lock_type) {}
+      config_(std::move(config)) {}
 
 const ServerStats& DataSpaces::server_stats(int s) const {
   return servers_.at(static_cast<std::size_t>(s))->stats;
@@ -566,36 +565,6 @@ sim::Task<Result<nda::Slab>> DataSpaces::Client::get(const nda::VarDesc& var,
                              " elements of " + box.to_string());
   }
   co_return nda::assemble(box, pieces, ds_->config_.materialize_cap_elems);
-}
-
-sim::Task<Status> DataSpaces::Client::lock_on_write(const std::string& name) {
-  Server& master = *ds_->servers_.front();
-  co_await ds_->transport_->transfer(self_, master.endpoint, kCtrlBytes,
-                                     {.src_pinned = true, .dst_pinned = true});
-  co_return co_await ds_->locks_.lock_on_write(name);
-}
-
-sim::Task<Status> DataSpaces::Client::unlock_on_write(const std::string& name) {
-  Server& master = *ds_->servers_.front();
-  co_await ds_->transport_->transfer(self_, master.endpoint, kCtrlBytes,
-                                     {.src_pinned = true, .dst_pinned = true});
-  ds_->locks_.unlock_on_write(name);
-  co_return Status::ok();
-}
-
-sim::Task<Status> DataSpaces::Client::lock_on_read(const std::string& name) {
-  Server& master = *ds_->servers_.front();
-  co_await ds_->transport_->transfer(self_, master.endpoint, kCtrlBytes,
-                                     {.src_pinned = true, .dst_pinned = true});
-  co_return co_await ds_->locks_.lock_on_read(name);
-}
-
-sim::Task<Status> DataSpaces::Client::unlock_on_read(const std::string& name) {
-  Server& master = *ds_->servers_.front();
-  co_await ds_->transport_->transfer(self_, master.endpoint, kCtrlBytes,
-                                     {.src_pinned = true, .dst_pinned = true});
-  ds_->locks_.unlock_on_read(name);
-  co_return Status::ok();
 }
 
 void DataSpaces::Client::finalize() {

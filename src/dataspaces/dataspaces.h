@@ -29,7 +29,6 @@
 
 #include "common/status.h"
 #include "common/units.h"
-#include "dataspaces/locks.h"
 #include "dataspaces/regions.h"
 #include "staging/server_group.h"
 
@@ -38,8 +37,9 @@ namespace imc::dataspaces {
 struct Config {
   int num_servers = 4;
   int servers_per_node = 2;  // paper §III-B1: two per staging node
-  // Table I runtime configuration (recorded; lock_type/hash_version select
-  // protocol variants that do not change the modeled costs).
+  // Table I runtime configuration. lock_type and hash_version are recorded
+  // for Table I only: the version board (publish / wait_version) is the
+  // lock_type=2 writer/reader coupling every run uses.
   int lock_type = 2;
   int hash_version = 2;
   int max_versions = 1;
@@ -136,7 +136,6 @@ class DataSpaces final : public staging::ServerGroup<Server, DataSpaces> {
              net::Transport& transport, Config config);
 
   const Config& config() const { return config_; }
-  LockService& locks() { return locks_; }
   const ServerStats& server_stats(int s) const;
 
   // Aggregates across servers (benches).
@@ -176,14 +175,6 @@ class DataSpaces final : public staging::ServerGroup<Server, DataSpaces> {
     sim::Task<Status> wait_version(const std::string& var, int version) {
       return ds_->wait_version(self_, var, version);
     }
-
-    // The named-lock API (dspaces_lock_on_write / _on_read and their
-    // unlocks): a control round trip to the master server plus the lock
-    // semantics selected by Config::lock_type (Table I sets 2).
-    sim::Task<Status> lock_on_write(const std::string& name);
-    sim::Task<Status> unlock_on_write(const std::string& name);
-    sim::Task<Status> lock_on_read(const std::string& name);
-    sim::Task<Status> unlock_on_read(const std::string& name);
 
     // dspaces_finalize: release connections and the client pool.
     void finalize();
@@ -253,7 +244,6 @@ class DataSpaces final : public staging::ServerGroup<Server, DataSpaces> {
   static constexpr double kIndexOpSeconds = 60e-6;
 
   Config config_;
-  LockService locks_;
   // Values point into staging_regions_cached's process-lifetime cache.
   std::map<std::string, const RegionSet*, std::less<>> region_cache_;
 };

@@ -7,28 +7,6 @@
 
 namespace imc::decaf {
 
-// --------------------------------------------------------------- graph ----
-
-int Graph::add_node(const std::string& name, Role role, int nprocs) {
-  nodes_.push_back(NodeInfo{name, role, nprocs, next_rank_});
-  next_rank_ += nprocs;
-  return static_cast<int>(nodes_.size()) - 1;
-}
-
-void Graph::add_edge(int from, int to) { edges_.emplace_back(from, to); }
-
-int Graph::rank_base(int node) const {
-  return nodes_.at(static_cast<std::size_t>(node)).rank_base;
-}
-int Graph::nprocs(int node) const {
-  return nodes_.at(static_cast<std::size_t>(node)).nprocs;
-}
-Role Graph::role(int node) const {
-  return nodes_.at(static_cast<std::size_t>(node)).role;
-}
-
-// ------------------------------------------------------------ dataflow ----
-
 namespace {
 
 // Per-step tag layout (positive tags; collectives use negative ones).
@@ -82,15 +60,6 @@ std::vector<nda::Box> Dataflow::split_for(const nda::Box& box, int parts) {
 }
 
 std::vector<int> Dataflow::dflow_targets(int producer_index) const {
-  if (config_.prod_dflow_redist == Redist::kRoundRobin) {
-    // Full fan-out, rotated by producer index.
-    std::vector<int> all(static_cast<std::size_t>(ndflow_));
-    for (int d = 0; d < ndflow_; ++d) {
-      all[static_cast<std::size_t>(d)] = (producer_index + d) % ndflow_;
-    }
-    return all;
-  }
-  // Proportional (by-count) routing.
   const long long p = producer_index, P = nprod_, D = ndflow_;
   const int lo = static_cast<int>(p * D / P);
   const int hi = std::max(lo + 1, static_cast<int>((p + 1) * D / P));
@@ -100,7 +69,6 @@ std::vector<int> Dataflow::dflow_targets(int producer_index) const {
 }
 
 int Dataflow::expected_senders(int dflow_index) const {
-  if (config_.prod_dflow_redist == Redist::kRoundRobin) return nprod_;
   const long long d = dflow_index, P = nprod_, D = ndflow_;
   if (P >= D) {
     // Producers p with floor(p*D/P) == d, i.e. p in
@@ -114,11 +82,6 @@ int Dataflow::expected_senders(int dflow_index) const {
 }
 
 std::vector<int> Dataflow::dflow_queries(int consumer_index) const {
-  if (config_.dflow_con_redist == Redist::kRoundRobin) {
-    std::vector<int> all(static_cast<std::size_t>(ndflow_));
-    for (int d = 0; d < ndflow_; ++d) all[static_cast<std::size_t>(d)] = d;
-    return all;
-  }
   // Proportional range plus one dflow of padding on each side, covering
   // boundary overlap between consumer and producer decompositions.
   const long long c = consumer_index, C = ncon_, D = ndflow_;
@@ -131,7 +94,6 @@ std::vector<int> Dataflow::dflow_queries(int consumer_index) const {
 }
 
 int Dataflow::expected_requests(int dflow_index) const {
-  if (config_.dflow_con_redist == Redist::kRoundRobin) return ncon_;
   // Exact inverse of dflow_queries, evaluated once per dflow rank.
   const long long d = dflow_index, C = ncon_, D = ndflow_;
   int count = 0;
@@ -162,12 +124,11 @@ sim::Task<Status> Dataflow::put(int producer_index, const nda::VarDesc& var,
   if (!st.is_ok()) co_return st;  // "out of main memory" abort of Table IV
   mem::ScopedAlloc flat(memory, mem::Tag::kTransform, raw, &st);
   if (!st.is_ok()) co_return st;
-  co_await engine_->sleep(
-      serial::Encoder::encode_seconds(raw, config_.cpu_speed));
+  co_await engine_->sleep(serial::encode_seconds(raw, config_.cpu_speed));
 
-  // Split by the redistribution policy and ship. Each target dataflow rank
-  // receives exactly one message from this producer per step (possibly an
-  // empty chunk), so the dataflow's gather count is deterministic.
+  // Split by count and ship. Each target dataflow rank receives exactly one
+  // message from this producer per step (possibly an empty chunk), so the
+  // dataflow's gather count is deterministic.
   const std::vector<int> targets = dflow_targets(producer_index);
   auto chunks = split_for(slab.box(), static_cast<int>(targets.size()));
   for (std::size_t j = 0; j < targets.size(); ++j) {
@@ -194,6 +155,13 @@ sim::Task<> Dataflow::stop(int producer_index, int after_step) {
     co_await world_->send(me, dflow_base_ + d, data_tag(after_step),
                           serial::kEventHeaderBytes, std::move(marker));
   }
+}
+
+bool Dataflow::dflow_aborted(int dflow_index, const Status& st) {
+  if (st.is_ok()) return false;
+  engine_->record_failure("decaf dflow " + std::to_string(dflow_index) +
+                          " aborted: " + st.to_string());
+  return true;
 }
 
 sim::Task<> Dataflow::dflow_loop(int dflow_index) {
@@ -232,33 +200,15 @@ sim::Task<> Dataflow::dflow_loop(int dflow_index) {
     const std::uint64_t s = recv_bytes;
     Status st;
     mem::ScopedAlloc recv_buffers(memory, mem::Tag::kLibrary, s, &st);
-    if (!st.is_ok()) {
-      engine_->record_failure("decaf dflow " + std::to_string(dflow_index) +
-                              " aborted: " + st.to_string());
-      co_return;
-    }
+    if (dflow_aborted(dflow_index, st)) co_return;
     mem::ScopedAlloc decoded(memory, mem::Tag::kTransform, 2 * s, &st);
-    if (!st.is_ok()) {
-      engine_->record_failure("decaf dflow " + std::to_string(dflow_index) +
-                              " aborted: " + st.to_string());
-      co_return;
-    }
-    co_await engine_->sleep(
-        serial::Encoder::encode_seconds(s, config_.cpu_speed));
+    if (dflow_aborted(dflow_index, st)) co_return;
+    co_await engine_->sleep(serial::encode_seconds(s, config_.cpu_speed));
     mem::ScopedAlloc merged(memory, mem::Tag::kTransform, 2 * s, &st);
-    if (!st.is_ok()) {
-      engine_->record_failure("decaf dflow " + std::to_string(dflow_index) +
-                              " aborted: " + st.to_string());
-      co_return;
-    }
-    co_await engine_->sleep(
-        serial::Encoder::encode_seconds(s, config_.cpu_speed));
+    if (dflow_aborted(dflow_index, st)) co_return;
+    co_await engine_->sleep(serial::encode_seconds(s, config_.cpu_speed));
     mem::ScopedAlloc staged(memory, mem::Tag::kStaging, 2 * s, &st);
-    if (!st.is_ok()) {
-      engine_->record_failure("decaf dflow " + std::to_string(dflow_index) +
-                              " aborted: " + st.to_string());
-      co_return;
-    }
+    if (dflow_aborted(dflow_index, st)) co_return;
     recv_buffers.reset();
     decoded.reset();
     merged.reset();
@@ -278,8 +228,9 @@ sim::Task<> Dataflow::dflow_loop(int dflow_index) {
       }
       mem::ScopedAlloc reply_buffer(memory, mem::Tag::kLibrary, piece_bytes,
                                     &st);
+      if (dflow_aborted(dflow_index, st)) co_return;
       co_await engine_->sleep(
-          serial::Encoder::encode_seconds(piece_bytes, config_.cpu_speed));
+          serial::encode_seconds(piece_bytes, config_.cpu_speed));
       co_await world_->send(me, m.source, reply_tag(step),
                             piece_bytes + serial::kEventHeaderBytes,
                             std::move(pieces));
@@ -324,8 +275,9 @@ sim::Task<Result<nda::Slab>> Dataflow::get(int consumer_index,
   Status st;
   mem::ScopedAlloc decode_buffer(memory, mem::Tag::kLibrary, received_bytes,
                                  &st);
+  if (!st.is_ok()) co_return st;
   co_await engine_->sleep(
-      serial::Encoder::encode_seconds(received_bytes, config_.cpu_speed));
+      serial::encode_seconds(received_bytes, config_.cpu_speed));
 
   if (covered < box.volume()) {
     co_return make_error(ErrorCode::kNotFound,

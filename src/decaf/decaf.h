@@ -4,8 +4,8 @@
 // Decaf wraps the producer, the dataflow (staging) ranks and the consumer
 // into ONE MPI communicator (which is why it is portable anywhere MPI runs,
 // and why it cannot run on systems without heterogeneous launch support,
-// §III-B7). A workflow is a graph: add_node()/add_edge() build it, and an
-// edge carries a redistribution component (Table I: prod_dflow_redist =
+// §III-B7). Data flows producer -> dataflow -> consumer and is
+// redistributed by count on both edges (Table I: prod_dflow_redist =
 // 'count', dflow_con_redist = 'count').
 //
 // The paper's Finding 2 and Fig. 7 hinge on Decaf's rich data model
@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -35,48 +34,12 @@
 
 namespace imc::decaf {
 
-enum class Redist {
-  kCount,       // equal item counts to each destination (Table I)
-  kRoundRobin,  // chunk j -> destination (source + j) mod D
-};
-
 struct Config {
-  Redist prod_dflow_redist = Redist::kCount;
-  Redist dflow_con_redist = Redist::kCount;
   double cpu_speed = 1.0;
   // Fig. 5d calibration: Decaf clients carry ~40% more library memory than
   // the DataSpaces/Flexpath clients (280 MiB base + transient pipeline).
   std::uint64_t client_base_bytes = 280 * kMiB;
   std::uint64_t materialize_cap_elems = 1ull << 22;
-};
-
-// Node roles in the dataflow graph.
-enum class Role { kProducer, kDataflow, kConsumer };
-
-// The workflow graph (the Python add_node/add_edge API in C++ form). Maps
-// roles onto contiguous rank ranges of one world communicator.
-class Graph {
- public:
-  int add_node(const std::string& name, Role role, int nprocs);
-  void add_edge(int from, int to);
-
-  int total_ranks() const { return next_rank_; }
-  int node_count() const { return static_cast<int>(nodes_.size()); }
-  int rank_base(int node) const;
-  int nprocs(int node) const;
-  Role role(int node) const;
-  const std::vector<std::pair<int, int>>& edges() const { return edges_; }
-
- private:
-  struct NodeInfo {
-    std::string name;
-    Role role;
-    int nprocs;
-    int rank_base;
-  };
-  std::vector<NodeInfo> nodes_;
-  std::vector<std::pair<int, int>> edges_;
-  int next_rank_ = 0;
 };
 
 // One producer -> dataflow -> consumer pipeline over a world communicator.
@@ -92,8 +55,8 @@ class Dataflow {
 
   const Config& config() const { return config_; }
 
-  // Producer side: wrap the slab into a container, flatten, split by the
-  // redistribution policy and ship each chunk to its dataflow rank.
+  // Producer side: wrap the slab into a container, flatten, split by count
+  // and ship each chunk to its dataflow rank.
   sim::Task<Status> put(int producer_index, const nda::VarDesc& var,
                         const nda::Slab& slab);
 
@@ -115,8 +78,12 @@ class Dataflow {
     return steps_done_[static_cast<std::size_t>(dflow_index)];
   }
 
-  // Routing introspection (also used by the routing-consistency property
-  // tests — the gather loops deadlock if these inverses ever disagree).
+  // Routing by count is proportional: producer p's data goes to the dflow
+  // range [p*D/P, (p+1)*D/P) (one whole-slab chunk to dflow p*D/P when
+  // P >= D). This keeps the per-step message count at max(P, D) instead of
+  // P*D while preserving the by-count balance. The routing-consistency
+  // property tests check these inverses: the gather loops deadlock if they
+  // ever disagree.
   std::vector<int> dflow_targets(int producer_index) const;
   int expected_senders(int dflow_index) const;
   std::vector<int> dflow_queries(int consumer_index) const;
@@ -136,11 +103,9 @@ class Dataflow {
   // dimension (the by-count redistribution at box granularity).
   static std::vector<nda::Box> split_for(const nda::Box& box, int parts);
 
-  // kCount routing is proportional: producer p's data goes to the dflow
-  // range [p*D/P, (p+1)*D/P) (one whole-slab chunk to dflow p*D/P when
-  // P >= D). This keeps the per-step message count at max(P, D) instead of
-  // P*D while preserving the by-count balance. The routing methods are
-  // declared in the public section above.
+  // Records dflow rank `dflow_index`'s abort when a pipeline buffer could
+  // not be allocated ("out of main memory", Table IV); false if `st` is ok.
+  bool dflow_aborted(int dflow_index, const Status& st);
 
   sim::Engine* engine_;
   mpi::Comm* world_;

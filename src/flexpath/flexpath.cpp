@@ -222,12 +222,12 @@ sim::Task<Result<nda::Slab>> Flexpath::Reader::read_step(
       co_return st;
     }
     co_await fp_->engine_->sleep(
-        serial::Encoder::encode_seconds(bytes, fp_->config_.cpu_speed));
+        serial::encode_seconds(bytes, fp_->config_.cpu_speed));
     Status st = co_await fp_->transport_->transfer(
         writer->self_, self_, bytes + serial::kEventHeaderBytes, {});
     if (!st.is_ok()) co_return st;
     co_await fp_->engine_->sleep(
-        serial::Encoder::encode_seconds(bytes, fp_->config_.cpu_speed));
+        serial::encode_seconds(bytes, fp_->config_.cpu_speed));
 
     pieces.push_back(step.slab.extract(overlap));
     covered += overlap.volume();

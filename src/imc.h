@@ -3,7 +3,7 @@
 // time matters.
 #pragma once
 
-#include "adios/adios.h"            // ADIOS (XML, the Io decorator, MPI-IO)
+#include "adios/adios.h"            // ADIOS (the Io decorator, MPI-IO)
 #include "apps/analysis.h"          // MSD / MTA analytics
 #include "apps/apps.h"              // LAMMPS / Laplace / synthetic workloads
 #include "apps/kernels.h"           // the real LJ-melt and Jacobi kernels
@@ -12,7 +12,6 @@
 #include "common/units.h"           // byte/time units and formatting
 #include "common/world.h"           // the current world's binding (imc::World)
 #include "dataspaces/dataspaces.h"  // DataSpaces staging
-#include "dataspaces/locks.h"       // the named-lock service (lock_type 1/2/3)
 #include "dataspaces/regions.h"     // region decomposition + SFC index model
 #include "decaf/decaf.h"            // Decaf dataflow
 #include "dimes/dimes.h"            // DIMES client-side staging
@@ -26,7 +25,7 @@
 #include "net/drc.h"                // the DRC credential service
 #include "net/fabric.h"             // Gemini / Aries interconnect model
 #include "net/transport.h"          // uGNI / NNTI / sockets / shm transports
-#include "serial/ffs.h"             // FFS self-describing serialization
+#include "serial/ffs.h"             // FFS formats and encode cost
 #include "sim/engine.h"             // the discrete-event engine
 #include "sim/sync.h"               // events, semaphores, queues, barriers
 #include "sim/task.h"               // coroutine tasks

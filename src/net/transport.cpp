@@ -227,7 +227,7 @@ std::pair<int, int> SocketTransport::node_key(const Endpoint& a,
 
 sim::Task<Status> SocketTransport::connect(const Endpoint& a,
                                            const Endpoint& b) {
-  if (pool_.enabled) {
+  if (pooled_) {
     auto [it, inserted] = pools_.try_emplace(node_key(a, b));
     it->second.users.insert(a.pid);
     it->second.users.insert(b.pid);
@@ -237,7 +237,7 @@ sim::Task<Status> SocketTransport::connect(const Endpoint& a,
     pool.b_node = b.node;
     const std::string owner = pool_owner(it->first);
     // The pool's streams are the only descriptors this node pair uses.
-    for (int s = 0; s < pool_.streams_per_node_pair; ++s) {
+    for (int s = 0; s < kStreamsPerNodePair; ++s) {
       if (Status st = a.node->sockets().open(owner); !st.is_ok()) break;
       if (Status st = b.node->sockets().open(owner); !st.is_ok()) {
         a.node->sockets().close(owner);
@@ -281,7 +281,7 @@ sim::Task<Status> SocketTransport::transfer(const Endpoint& from,
     co_return s;
   }
   const std::uint64_t op = next_op_key(from, to);
-  if (pool_.enabled) {
+  if (pooled_) {
     auto it = pools_.find(node_key(from, to));
     if (it == pools_.end()) {
       co_return make_error(ErrorCode::kConnectionFailed,

@@ -108,20 +108,15 @@ class RdmaTransport final : public Transport {
 //  * per-connection (default, what the paper's libraries do): one socket
 //    pair per endpoint pair — descriptors deplete at scale (Table IV).
 //  * pooled (Table IV's suggested resolve): all endpoints sharing a node
-//    pair multiplex over a small fixed pool of streams. Descriptors no
+//    pair multiplex over kStreamsPerNodePair streams. Descriptors no
 //    longer scale with the process count, but concurrent transfers contend
 //    for the pool ("this may compromise the data movement efficiency").
 class SocketTransport final : public Transport {
  public:
-  struct PoolConfig {
-    bool enabled = false;
-    int streams_per_node_pair = 2;
-  };
+  static constexpr int kStreamsPerNodePair = 2;
 
-  SocketTransport(sim::Engine& engine, Fabric& fabric)
-      : SocketTransport(engine, fabric, PoolConfig{false, 2}) {}
-  SocketTransport(sim::Engine& engine, Fabric& fabric, PoolConfig pool)
-      : engine_(&engine), fabric_(&fabric), pool_(pool) {}
+  SocketTransport(sim::Engine& engine, Fabric& fabric, bool pooled = false)
+      : engine_(&engine), fabric_(&fabric), pooled_(pooled) {}
 
   TransportKind kind() const override { return TransportKind::kSockets; }
   sim::Task<Status> connect(const Endpoint& a, const Endpoint& b) override;
@@ -151,7 +146,7 @@ class SocketTransport final : public Transport {
 
   sim::Engine* engine_;
   Fabric* fabric_;
-  PoolConfig pool_;
+  bool pooled_;
   std::map<std::pair<int, int>, Conn> connections_;  // keyed by (min,max) pid
   std::map<std::pair<int, int>, Pool> pools_;        // keyed by node pair
 };

@@ -2,24 +2,6 @@
 
 namespace imc::serial {
 
-std::uint64_t field_type_size(FieldType type) {
-  switch (type) {
-    case FieldType::kFloat64:
-    case FieldType::kInt64:
-    case FieldType::kUInt64:
-      return 8;
-    case FieldType::kByte:
-      return 1;
-  }
-  return 0;
-}
-
-std::uint64_t FormatDesc::payload_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& f : fields) total += f.payload_bytes();
-  return total;
-}
-
 std::uint64_t FormatDesc::description_bytes() const {
   // name + per-field (name, type, count) entries.
   std::uint64_t total = name.size() + 16;
@@ -40,37 +22,7 @@ const FormatDesc* FormatRegistry::lookup(int id) const {
   return &formats_[static_cast<std::size_t>(id)];
 }
 
-Result<EncodedEvent> Encoder::encode(int format_id, std::any body,
-                                     std::uint64_t payload_bytes) const {
-  const FormatDesc* format = registry_->lookup(format_id);
-  if (format == nullptr) {
-    return make_error(ErrorCode::kNotFound,
-                      "unknown format id " + std::to_string(format_id));
-  }
-  if (format->payload_bytes() != payload_bytes) {
-    return make_error(
-        ErrorCode::kInvalidArgument,
-        "payload size " + std::to_string(payload_bytes) +
-            " does not match format '" + format->name + "' layout (" +
-            std::to_string(format->payload_bytes()) + " B)");
-  }
-  EncodedEvent event;
-  event.format_id = format_id;
-  event.payload_bytes = payload_bytes;
-  event.body = std::move(body);
-  return event;
-}
-
-Result<std::any> Encoder::decode(const EncodedEvent& event) const {
-  if (!registry_->known(event.format_id)) {
-    return make_error(ErrorCode::kFailedPrecondition,
-                      "format " + std::to_string(event.format_id) +
-                          " not fetched yet (handshake incomplete)");
-  }
-  return event.body;
-}
-
-double Encoder::encode_seconds(std::uint64_t bytes, double cpu_speed) {
+double encode_seconds(std::uint64_t bytes, double cpu_speed) {
   // FFS encodes at roughly memcpy speed with field bookkeeping: ~2.5 GB/s
   // on the Titan reference core.
   constexpr double kEncodeBandwidth = 2.5e9;

@@ -5,35 +5,26 @@
 // id; events on the wire carry a compact header plus raw field data, and a
 // reader that sees an unknown format id first fetches the format description
 // (the format handshake Flexpath performs on first contact). Decaf's data
-// model reuses the same encoder underneath.
+// model is charged at the same encode rate.
 //
 // Wire layout modeled: header (format id + lengths) + packed field payloads.
 // Encode/decode CPU cost is charged by callers via encode_seconds(), scaled
 // by machine CPU speed.
 #pragma once
 
-#include <any>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
-
-#include "common/status.h"
 
 namespace imc::serial {
 
 enum class FieldType : std::uint8_t { kFloat64, kInt64, kUInt64, kByte };
-
-std::uint64_t field_type_size(FieldType type);
 
 struct FieldDesc {
   std::string name;
   FieldType type = FieldType::kFloat64;
   std::uint64_t count = 1;  // array length
 
-  std::uint64_t payload_bytes() const {
-    return field_type_size(type) * count;
-  }
   bool operator==(const FieldDesc&) const = default;
 };
 
@@ -41,7 +32,6 @@ struct FormatDesc {
   std::string name;
   std::vector<FieldDesc> fields;
 
-  std::uint64_t payload_bytes() const;
   // Bytes of the format description itself (sent once per reader during the
   // handshake).
   std::uint64_t description_bytes() const;
@@ -51,16 +41,6 @@ struct FormatDesc {
 // Per-event wire header: format id, event length, field count table.
 inline constexpr std::uint64_t kEventHeaderBytes = 24;
 
-struct EncodedEvent {
-  int format_id = -1;
-  std::uint64_t payload_bytes = 0;
-  std::any body;  // the actual application object (e.g. an nda::Slab)
-
-  std::uint64_t wire_bytes() const {
-    return kEventHeaderBytes + payload_bytes;
-  }
-};
-
 // Registers formats and answers decode-side lookups. One registry is shared
 // per connection domain (Flexpath's format server).
 class FormatRegistry {
@@ -69,32 +49,14 @@ class FormatRegistry {
   int register_format(const FormatDesc& format);
 
   const FormatDesc* lookup(int id) const;
-  bool known(int id) const { return lookup(id) != nullptr; }
   std::size_t size() const { return formats_.size(); }
 
  private:
   std::vector<FormatDesc> formats_;
 };
 
-class Encoder {
- public:
-  explicit Encoder(FormatRegistry& registry) : registry_(&registry) {}
-
-  // Encodes `body` as an event of format `format_id`. The payload size must
-  // match the format's field layout (self-description invariant).
-  Result<EncodedEvent> encode(int format_id, std::any body,
-                              std::uint64_t payload_bytes) const;
-
-  // Decode verifies the format is known to this registry (a reader that has
-  // not completed the handshake cannot decode).
-  Result<std::any> decode(const EncodedEvent& event) const;
-
-  // CPU seconds to encode/decode `bytes` on a machine with relative speed
-  // `cpu_speed` (1.0 = Titan reference core).
-  static double encode_seconds(std::uint64_t bytes, double cpu_speed);
-
- private:
-  FormatRegistry* registry_;
-};
+// CPU seconds to encode/decode `bytes` on a machine with relative speed
+// `cpu_speed` (1.0 = Titan reference core).
+double encode_seconds(std::uint64_t bytes, double cpu_speed);
 
 }  // namespace imc::serial

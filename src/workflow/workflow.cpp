@@ -628,12 +628,10 @@ RunResult run(const Spec& spec) {
       ctx.transport = std::make_unique<net::RdmaTransport>(
           ctx.engine, ctx.fabric, kind, ctx.drc.get());
       break;
-    case net::TransportKind::kSockets: {
-      net::SocketTransport::PoolConfig pool{spec.socket_pooling, 2};
+    case net::TransportKind::kSockets:
       ctx.transport = std::make_unique<net::SocketTransport>(
-          ctx.engine, ctx.fabric, pool);
+          ctx.engine, ctx.fabric, spec.socket_pooling);
       break;
-    }
     case net::TransportKind::kSharedMemory:
       ctx.transport =
           std::make_unique<net::ShmTransport>(ctx.engine, spec.machine);

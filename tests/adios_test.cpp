@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "adios/adios.h"
-#include "adios/xml.h"
 #include "common/units.h"
 #include "hpc/cluster.h"
 #include "net/fabric.h"
@@ -14,86 +13,6 @@
 
 namespace imc::adios {
 namespace {
-
-constexpr const char* kConfigXml = R"(<?xml version="1.0"?>
-<!-- The LAMMPS workflow configuration from the study. -->
-<adios-config host-language="C">
-  <adios-group name="restart">
-    <var name="atoms" dimensions="5,nprocs,512000" type="double"/>
-    <var name="step" dimensions="1" type="unsigned long"/>
-  </adios-group>
-  <method group="restart" method="DATASPACES" parameters="lock_type=2"/>
-  <buffer size-MB="40"/>
-  <analysis stats="off"/>
-</adios-config>)";
-
-TEST(Xml, ParsesNestedElements) {
-  auto doc = parse_xml("<a x=\"1\"><b y=\"2\"/><b y=\"3\"/><c/></a>");
-  ASSERT_TRUE(doc.has_value()) << doc.status();
-  EXPECT_EQ(doc->name, "a");
-  EXPECT_EQ(doc->attr("x"), "1");
-  EXPECT_EQ(doc->children.size(), 3u);
-  EXPECT_EQ(doc->children_named("b").size(), 2u);
-  EXPECT_EQ(doc->children_named("b")[1]->attr("y"), "3");
-  EXPECT_NE(doc->child("c"), nullptr);
-  EXPECT_EQ(doc->child("missing"), nullptr);
-}
-
-TEST(Xml, SkipsCommentsAndDeclarations) {
-  auto doc = parse_xml(
-      "<?xml version=\"1.0\"?><!-- hi --><root><!-- inner -->text<x/></root>");
-  ASSERT_TRUE(doc.has_value()) << doc.status();
-  EXPECT_EQ(doc->children.size(), 1u);
-}
-
-TEST(Xml, RejectsMismatchedTags) {
-  auto doc = parse_xml("<a><b></a></b>");
-  EXPECT_FALSE(doc.has_value());
-  EXPECT_EQ(doc.code(), ErrorCode::kInvalidArgument);
-}
-
-TEST(Xml, RejectsTrailingContent) {
-  EXPECT_FALSE(parse_xml("<a/><b/>").has_value());
-}
-
-TEST(Xml, RejectsUnterminatedAttribute) {
-  EXPECT_FALSE(parse_xml("<a x=\"1/>").has_value());
-}
-
-TEST(Config, ParsesFullDocument) {
-  auto config = parse_config(kConfigXml);
-  ASSERT_TRUE(config.has_value()) << config.status();
-  ASSERT_EQ(config->groups.size(), 1u);
-  const GroupDecl& group = config->groups[0];
-  EXPECT_EQ(group.name, "restart");
-  ASSERT_EQ(group.vars.size(), 2u);
-  EXPECT_EQ(group.vars[0].name, "atoms");
-  EXPECT_EQ(group.vars[0].dimensions, "5,nprocs,512000");
-  // The <method> element is not read: a run's method is its Spec's.
-  EXPECT_EQ(config->buffer_bytes, 40 * kMiB);
-  EXPECT_FALSE(config->stats);
-}
-
-TEST(Config, ResolveDimsSubstitutesSymbols) {
-  auto dims = resolve_dims("5, nprocs ,512000", {{"nprocs", 64}});
-  ASSERT_TRUE(dims.has_value()) << dims.status();
-  EXPECT_EQ(*dims, (nda::Dims{5, 64, 512000}));
-}
-
-TEST(Config, ResolveDimsUnknownSymbolFails) {
-  EXPECT_FALSE(resolve_dims("5,unknown", {}).has_value());
-}
-
-TEST(Config, ResolveDimsBeyondMaxRankIsInvalid) {
-  auto four = resolve_dims("1,2,3,n", {{"n", 4}});
-  ASSERT_TRUE(four.has_value()) << four.status();
-  EXPECT_EQ(four->size(), nda::Dims::kMaxRank);
-  auto five = resolve_dims("1,2,3,n,5", {{"n", 4}});
-  EXPECT_EQ(five.code(), ErrorCode::kInvalidArgument);
-  EXPECT_NE(five.status().to_string().find("more than 4 dimensions"),
-            std::string::npos)
-      << five.status();
-}
 
 // --- Io over MPI-IO (the self-contained client) ----------------------------
 

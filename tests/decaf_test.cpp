@@ -18,22 +18,6 @@ using nda::Dims;
 using nda::Slab;
 using nda::VarDesc;
 
-TEST(Graph, AssignsContiguousRankRanges) {
-  Graph g;
-  const int prod = g.add_node("lammps", Role::kProducer, 8);
-  const int dflow = g.add_node("staging", Role::kDataflow, 2);
-  const int con = g.add_node("msd", Role::kConsumer, 4);
-  g.add_edge(prod, dflow);
-  g.add_edge(dflow, con);
-  EXPECT_EQ(g.total_ranks(), 14);
-  EXPECT_EQ(g.rank_base(prod), 0);
-  EXPECT_EQ(g.rank_base(dflow), 8);
-  EXPECT_EQ(g.rank_base(con), 10);
-  EXPECT_EQ(g.nprocs(con), 4);
-  EXPECT_EQ(g.role(dflow), Role::kDataflow);
-  EXPECT_EQ(g.edges().size(), 2u);
-}
-
 // Test harness: P producers, D dataflow ranks, C consumers on one world.
 struct DecafFixture : ::testing::Test {
   DecafFixture() : machine(hpc::testbed()), cluster(machine),
@@ -46,7 +30,7 @@ struct DecafFixture : ::testing::Test {
     std::unique_ptr<Dataflow> flow;
   };
 
-  World make_world(int nprod, int ndflow, int ncon, Config c = {}) {
+  World make_world(int nprod, int ndflow, int ncon) {
     World w;
     const int total = nprod + ndflow + ncon;
     w.comm = std::make_unique<mpi::Comm>(engine, fabric, cluster,
@@ -57,8 +41,8 @@ struct DecafFixture : ::testing::Test {
       w.memory_ptrs.push_back(w.memory.back().get());
     }
     w.flow = std::make_unique<Dataflow>(engine, *w.comm, 0, nprod, nprod,
-                                        ndflow, nprod + ndflow, ncon, c,
-                                        w.memory_ptrs);
+                                        ndflow, nprod + ndflow, ncon,
+                                        Config{}, w.memory_ptrs);
     return w;
   }
 
@@ -200,35 +184,6 @@ TEST_F(DecafFixture, ProducerTransientTransformMemory) {
   EXPECT_EQ(w.memory[0]->peak_of(mem::Tag::kTransform), 3 * raw);
 }
 
-TEST_F(DecafFixture, RoundRobinRedistributionStillDelivers) {
-  Config c;
-  c.prod_dflow_redist = Redist::kRoundRobin;
-  auto w = make_world(3, 2, 1, c);
-  const Dims global = {6, 30};
-  Slab source = Slab::synthetic(Box::whole(global), 3);
-  auto prod_boxes = nda::decompose_1d(global, 3, 1);
-
-  for (int p = 0; p < 3; ++p) {
-    engine.spawn([](Dataflow& f, int p, Dims global, Slab piece)
-                     -> sim::Task<> {
-      VarDesc var{"u", global, 0};
-      EXPECT_TRUE((co_await f.put(p, var, piece)).is_ok());
-      co_await f.stop(p, 1);
-    }(*w.flow, p, global, source.extract(prod_boxes[static_cast<std::size_t>(p)])));
-  }
-  for (int d = 0; d < 2; ++d) engine.spawn(w.flow->dflow_loop(d));
-  engine.spawn([](Dataflow& f, Dims global, Slab expect) -> sim::Task<> {
-    VarDesc var{"u", global, 0};
-    Box whole = Box::whole(global);
-    auto got = co_await f.get(0, var, whole);
-    EXPECT_TRUE(got.has_value()) << got.status();
-    if (got.has_value()) {
-      EXPECT_DOUBLE_EQ(got->checksum(), expect.checksum());
-    }
-  }(*w.flow, global, source));
-  run_all();
-}
-
 TEST_F(DecafFixture, DflowAbortsOnOutOfMemory) {
   // Table IV "out of main memory": the 7x pipeline on a small node.
   hpc::MachineConfig tiny = machine;
@@ -258,6 +213,38 @@ TEST_F(DecafFixture, DflowAbortsOnOutOfMemory) {
   ASSERT_FALSE(engine.process_failures().empty());
   EXPECT_NE(engine.process_failures()[0].find("OUT_OF_MEMORY"),
             std::string::npos);
+}
+
+TEST_F(DecafFixture, ConsumerGetFailsWhenDecodeBufferDoesNotFit) {
+  // Producer and dataflow ranks run unbounded; the consumer's node cannot
+  // hold the decode buffer for what the dataflow delivers.
+  hpc::MachineConfig tiny = machine;
+  tiny.memory_per_node = 32 * kKiB;
+  hpc::Cluster tc(tiny);
+  net::Fabric tf(engine, tiny);
+  mpi::Comm comm(engine, tf, tc, tc.place_block(3, 1));
+  mem::ProcessMemory producer(engine, "r0");
+  mem::ProcessMemory dflow_rank(engine, "r1");
+  mem::ProcessMemory consumer(engine, "r2", &tc.node(2).memory());
+  Dataflow flow(engine, comm, 0, 1, 1, 1, 2, 1, {},
+                {&producer, &dflow_rank, &consumer});
+  const Dims global = {64, 128};  // 64 KiB raw > 32 KiB node
+
+  engine.spawn([](Dataflow& f, Dims global) -> sim::Task<> {
+    Slab content = Slab::synthetic(Box::whole(global), 1);
+    VarDesc var{"u", global, 0};
+    EXPECT_TRUE((co_await f.put(0, var, content)).is_ok());
+    co_await f.stop(0, 1);
+  }(flow, global));
+  engine.spawn(flow.dflow_loop(0));
+  ErrorCode code = ErrorCode::kOk;
+  engine.spawn([](Dataflow& f, Dims global, ErrorCode& out) -> sim::Task<> {
+    VarDesc var{"u", global, 0};
+    Box whole = Box::whole(global);
+    out = (co_await f.get(0, var, whole)).code();
+  }(flow, global, code));
+  run_all();
+  EXPECT_EQ(code, ErrorCode::kOutOfMemory);
 }
 
 // Two producers stage tiled slabs over rows cut at 4, each producer's

@@ -231,9 +231,8 @@ TEST_F(FlexFixture, StaggeredReadersKeepStepsInPlace) {
     expect.push_back(dense.checksum());
     content.push_back(std::move(dense));
   }
-  const double encode =
-      serial::Encoder::encode_seconds(whole.volume() * nda::kElementBytes,
-                                      c.cpu_speed);
+  const double encode = serial::encode_seconds(
+      whole.volume() * nda::kElementBytes, c.cpu_speed);
 
   auto wr = make_rank(1);
   Flexpath::Writer writer(*fp, wr.ep, *wr.memory);

@@ -97,8 +97,7 @@ TEST(SocketPooling, CostsLatencyUnderConcurrency) {
     hpc::Cluster cluster(machine);
     cluster.allocate_nodes(2);
     net::Fabric fabric(engine, machine);
-    net::SocketTransport transport(engine, fabric,
-                                   {pooled, /*streams=*/2});
+    net::SocketTransport transport(engine, fabric, pooled);
     double last_done = 0;
     for (int i = 0; i < 16; ++i) {
       engine.spawn([](sim::Engine& e, net::SocketTransport& t, int pid,

@@ -11,17 +11,6 @@ FormatDesc atoms_format(std::uint64_t n) {
                      {"positions", FieldType::kFloat64, n}}};
 }
 
-TEST(FieldType, Sizes) {
-  EXPECT_EQ(field_type_size(FieldType::kFloat64), 8u);
-  EXPECT_EQ(field_type_size(FieldType::kInt64), 8u);
-  EXPECT_EQ(field_type_size(FieldType::kUInt64), 8u);
-  EXPECT_EQ(field_type_size(FieldType::kByte), 1u);
-}
-
-TEST(FormatDesc, PayloadBytesSumFields) {
-  EXPECT_EQ(atoms_format(1000).payload_bytes(), 8u + 8000u);
-}
-
 TEST(FormatDesc, DescriptionBytesCoverNames) {
   FormatDesc f = atoms_format(10);
   // "atoms" + 16 + ("timestep"+16) + ("positions"+16)
@@ -43,64 +32,15 @@ TEST(FormatRegistry, LookupUnknownReturnsNull) {
   FormatRegistry reg;
   EXPECT_EQ(reg.lookup(0), nullptr);
   EXPECT_EQ(reg.lookup(-3), nullptr);
-  EXPECT_FALSE(reg.known(5));
+  reg.register_format(atoms_format(1));
+  EXPECT_NE(reg.lookup(0), nullptr);
+  EXPECT_EQ(reg.lookup(1), nullptr);
 }
 
-TEST(Encoder, RoundTrip) {
-  FormatRegistry reg;
-  Encoder enc(reg);
-  const int id = reg.register_format(atoms_format(4));
-  auto event = enc.encode(id, std::string("payload"), 8 + 32);
-  ASSERT_TRUE(event.has_value());
-  EXPECT_EQ(event->format_id, id);
-  EXPECT_EQ(event->payload_bytes, 40u);
-  EXPECT_EQ(event->wire_bytes(), 40u + kEventHeaderBytes);
-  auto body = enc.decode(*event);
-  ASSERT_TRUE(body.has_value());
-  EXPECT_EQ(std::any_cast<std::string>(*body), "payload");
-}
-
-TEST(Encoder, EncodeRejectsUnknownFormat) {
-  FormatRegistry reg;
-  Encoder enc(reg);
-  auto event = enc.encode(3, {}, 0);
-  EXPECT_EQ(event.code(), ErrorCode::kNotFound);
-}
-
-TEST(Encoder, EncodeRejectsLayoutMismatch) {
-  // Self-description invariant: the payload must match the field layout.
-  FormatRegistry reg;
-  Encoder enc(reg);
-  const int id = reg.register_format(atoms_format(4));
-  auto event = enc.encode(id, {}, 999);
-  EXPECT_EQ(event.code(), ErrorCode::kInvalidArgument);
-}
-
-TEST(Encoder, DecodeRequiresHandshake) {
-  // A reader with its own (empty) registry cannot decode until it has
-  // fetched the format — Flexpath's first-contact handshake.
-  FormatRegistry writer_reg;
-  Encoder writer_enc(writer_reg);
-  const int id = writer_reg.register_format(atoms_format(2));
-  auto event = writer_enc.encode(id, 1.5, 8 + 16);
-  ASSERT_TRUE(event.has_value());
-
-  FormatRegistry reader_reg;
-  Encoder reader_enc(reader_reg);
-  auto early = reader_enc.decode(*event);
-  EXPECT_EQ(early.code(), ErrorCode::kFailedPrecondition);
-
-  // After fetching the format description, decode succeeds.
-  reader_reg.register_format(*writer_reg.lookup(id));
-  auto body = reader_enc.decode(*event);
-  ASSERT_TRUE(body.has_value());
-  EXPECT_DOUBLE_EQ(std::any_cast<double>(*body), 1.5);
-}
-
-TEST(Encoder, EncodeSecondsScalesWithSizeAndCpu) {
-  const double t1 = Encoder::encode_seconds(1'000'000, 1.0);
-  const double t2 = Encoder::encode_seconds(2'000'000, 1.0);
-  const double t_slow = Encoder::encode_seconds(1'000'000, 0.636);
+TEST(EncodeSeconds, ScalesWithSizeAndCpu) {
+  const double t1 = encode_seconds(1'000'000, 1.0);
+  const double t2 = encode_seconds(2'000'000, 1.0);
+  const double t_slow = encode_seconds(1'000'000, 0.636);
   EXPECT_DOUBLE_EQ(t2, 2 * t1);
   EXPECT_GT(t_slow, t1);
   EXPECT_NEAR(t1, 1e6 / 2.5e9, 1e-12);
